@@ -31,9 +31,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# 10-second native-fuzzing smoke per decoder entry point. Crashing inputs
-# land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them as artifacts.
+# 10-second native-fuzzing smoke per decoder entry point, plus the
+# differential target holding frechet.WithinTol to the full reachability DP.
+# Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
+# as artifacts.
 fuzz-smoke:
+	$(GO) test -fuzz='^FuzzWithinTol$$' -fuzztime=10s -run='^$$' ./internal/frechet
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec
 	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=10s -run='^$$' ./internal/core
@@ -107,6 +110,8 @@ bench:
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/cpsz | tee bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkEncode|BenchmarkDecode)$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/huffman | tee -a bench_raw.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkWithinTol$$' \
+		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/frechet | tee -a bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkFig8Scalability|BenchmarkCompress(Stream|InMemory|StreamEb))$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) . | tee -a bench_raw.txt
 	$(GO) run ./cmd/benchjson -in bench_raw.txt -out $(BENCH_JSON)

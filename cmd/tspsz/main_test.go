@@ -42,8 +42,12 @@ func TestCompressDecompressStats(t *testing.T) {
 		t.Fatalf("gen exited %d", code)
 	}
 
+	// One worker: TspSZ-i's speculative correction at several workers is
+	// not yet deterministic and can patch a different vertex set from run
+	// to run, which would make the two archives differ for a reason other
+	// than instrumentation.
 	plainPath := filepath.Join(dir, "plain.tsz")
-	args := []string{"compress", "-in", fieldPath, "-out", plainPath, "-variant", "i", "-eb", "5e-4"}
+	args := []string{"compress", "-in", fieldPath, "-out", plainPath, "-variant", "i", "-eb", "5e-4", "-workers", "1"}
 	if code := realMain(args); code != 0 {
 		t.Fatalf("compress exited %d", code)
 	}
@@ -51,7 +55,7 @@ func TestCompressDecompressStats(t *testing.T) {
 	obsPath := filepath.Join(dir, "obs.tsz")
 	statsPath := filepath.Join(dir, "stats.json")
 	profPath := filepath.Join(dir, "cpu.pprof")
-	args = []string{"compress", "-in", fieldPath, "-out", obsPath, "-variant", "i", "-eb", "5e-4",
+	args = []string{"compress", "-in", fieldPath, "-out", obsPath, "-variant", "i", "-eb", "5e-4", "-workers", "1",
 		"-stats=" + statsPath, "-cpuprofile", profPath}
 	if code := realMain(args); code != 0 {
 		t.Fatalf("instrumented compress exited %d", code)
@@ -144,6 +148,27 @@ func readSnapshot(t *testing.T, path string) *snapshotDoc {
 		t.Fatalf("stats JSON at %s does not parse: %v", path, err)
 	}
 	return &snap
+}
+
+// TestCompressRejectsNegativeTau: a negative -tau must fail the compress
+// command before any output is written.
+func TestCompressRejectsNegativeTau(t *testing.T) {
+	dir := t.TempDir()
+	fieldPath := filepath.Join(dir, "f.tspf")
+	if code := realMain([]string{"gen", "-dataset", "cba", "-scale", "0.1", "-out", fieldPath}); code != 0 {
+		t.Fatalf("gen exited %d", code)
+	}
+	outPath := filepath.Join(dir, "f.tsz")
+	if code := realMain([]string{"compress", "-in", fieldPath, "-out", outPath, "-variant", "i", "-tau", "-1"}); code != 1 {
+		t.Fatalf("compress -tau -1 exited %d, want 1", code)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("rejected compress left files behind: %v", entries)
+	}
 }
 
 // TestCompressStreamCLI drives compress -stream end to end: a 3D field

@@ -62,6 +62,8 @@ type Options struct {
 	// Params are the RK4 parameters θ = {ε_p, t, h} (Table II).
 	Params integrate.Params
 	// Tau is the Fréchet tolerance τ_t for TspSZ-i (Table II default √2).
+	// 0 selects the default and +Inf accepts any separatrix that ends
+	// compatibly; NaN and negative values are rejected.
 	Tau float64
 	// Workers bounds parallelism (< 1 means GOMAXPROCS).
 	Workers int
@@ -141,6 +143,9 @@ func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, 
 	o := opts.withDefaults()
 	if !(o.ErrBound > 0) {
 		return nil, fmt.Errorf("core: error bound must be positive, got %v", o.ErrBound)
+	}
+	if !(o.Tau > 0) {
+		return nil, fmt.Errorf("core: Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
 	}
 	var res *Result
 	if o.Variant == TspSZ1 {
@@ -316,28 +321,34 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	}); err != nil {
 		return nil, err
 	}
-	correct := make([]bool, len(td))
-	queue := make([]int, 0)
-	for i := range td {
-		correct[i] = skeleton.CheckTraj(&td[i], &tdp[i], o.Tau)
-		if !correct[i] {
-			queue = append(queue, i)
-		}
-	}
 	stats := Stats{
-		NumCPs:             len(cps),
-		NumSaddles:         len(saddles),
-		NumSeps:            numSeps(f.Dim(), len(saddles)),
-		InitiallyIncorrect: len(queue),
+		NumCPs:     len(cps),
+		NumSaddles: len(saddles),
+		NumSeps:    numSeps(f.Dim(), len(saddles)),
 	}
 
 	log := &patchLog{patched: bitmap.New(f.NumVertices())}
 	loc := integrate.NewCPLocator(cps)
 	iter := 0
-	// The correction span is recorded even when the skeleton verified on
-	// the first try (zero iterations), so TspSZ-i stage breakdowns always
-	// name the stage.
-	if err := c.Do(obs.StageCorrection, workers, int64(len(queue)), func() error {
+	// The correction span opens with round 0, the first verification of
+	// every separatrix (lines 32-35), so it is recorded even when the
+	// skeleton verified on the first try and TspSZ-i stage breakdowns
+	// always name the stage.
+	if err := c.Do(obs.StageCorrection, workers, int64(len(td)), func() error {
+		correct := make([]bool, len(td))
+		var queue []int
+		if err := parallel.CtxForErr(ctx, len(td), o.Workers, 4, func(i int) error {
+			correct[i] = skeleton.CheckTraj(&td[i], &tdp[i], o.Tau)
+			return nil
+		}); err != nil {
+			return err
+		}
+		for i := range td {
+			if !correct[i] {
+				queue = append(queue, i)
+			}
+		}
+		stats.InitiallyIncorrect = len(queue)
 		for len(queue) > 0 {
 			iter++
 			c.Add(obs.CtrCorrectionIters, 1)

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"tspsz/internal/critical"
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
 	"tspsz/internal/integrate"
+	"tspsz/internal/obs"
 	"tspsz/internal/skeleton"
 )
 
@@ -202,6 +205,59 @@ func TestCompressRejectsBadBound(t *testing.T) {
 	f := gyre2D(16, 16)
 	if _, err := Compress(f, Options{Variant: TspSZ1, ErrBound: 0}); err == nil {
 		t.Error("zero bound accepted")
+	}
+}
+
+// TestTauValidated runs each τ through every entry point that runs
+// TspSZ-i. NaN and negative values must fail, naming τ, before any stage
+// runs; 0 selects the √2 default and +Inf stays valid.
+func TestTauValidated(t *testing.T) {
+	f := gyre2D(24, 20)
+	frames := []*field.Field{f, f}
+	base := Options{Variant: TspSZi, Mode: ebound.Absolute, ErrBound: 0.05, Params: testParams(), Workers: 1}
+	def := base
+	def.Tau = math.Sqrt2
+	want, err := Compress(f, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tau float64
+		ok  bool
+	}{
+		{math.NaN(), false},
+		{-0.05, false},
+		{0, true},
+		{math.Inf(1), true},
+	} {
+		opts := base
+		opts.Tau = tc.tau
+		opts.Collector = obs.New()
+		res, err := Compress(f, opts)
+		seq, seqErr := CompressSequence(frames, opts)
+		var buf bytes.Buffer
+		_, streamErr := CompressSequenceStream(nil, &buf, len(frames),
+			field.FrameFetcherFunc(func(i int) (*field.Field, error) { return frames[i], nil }), opts)
+		if !tc.ok {
+			for name, err := range map[string]error{"Compress": err, "CompressSequence": seqErr, "CompressSequenceStream": streamErr} {
+				if err == nil || !strings.Contains(err.Error(), "tau") {
+					t.Errorf("%s accepted tau %v or did not name it: %v", name, tc.tau, err)
+				}
+			}
+			if n := len(opts.Collector.Snapshot().Spans); n != 0 || buf.Len() != 0 {
+				t.Errorf("tau %v: rejected after %d stages and %d bytes written", tc.tau, n, buf.Len())
+			}
+			continue
+		}
+		if err != nil || seqErr != nil || streamErr != nil {
+			t.Fatalf("tau %v rejected: %v / %v / %v", tc.tau, err, seqErr, streamErr)
+		}
+		if len(seq.Stats) != len(frames) || buf.Len() == 0 {
+			t.Errorf("tau %v: sequence paths produced %d frames and %d bytes", tc.tau, len(seq.Stats), buf.Len())
+		}
+		if tc.tau == 0 && !bytes.Equal(res.Bytes, want.Bytes) {
+			t.Error("tau 0 does not select the √2 default")
+		}
 	}
 }
 

@@ -105,6 +105,13 @@ func TestObservedStageCoverage(t *testing.T) {
 			if got, want := snap.Counters["patched_vertices"], int64(res.Stats.PatchedVertices); got != want {
 				t.Errorf("patched_vertices counter %d, stats say %d", got, want)
 			}
+			// The correction span opens with the first check of every
+			// separatrix, so its items count all of them.
+			for _, sp := range snap.Spans {
+				if sp.Stage == "correction" && sp.Items != int64(res.Stats.NumSeps) {
+					t.Errorf("correction span items %d, want %d separatrices", sp.Items, res.Stats.NumSeps)
+				}
+			}
 		}
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"tspsz/internal/field"
 )
 
-// A field engineered to produce many wrong separatrices so the speculative
-// parallel correction actually overlaps: run under -race to validate the
-// locking discipline of patchLog.
-func TestTspSZiParallelCorrectionStress(t *testing.T) {
+// stressField is a 72×64 gyre field engineered so that a strict τ leaves
+// many separatrices wrong after plain cpSZ.
+func stressField() *field.Field {
 	f := field.New2D(72, 64)
 	lx, ly := 35.5/3, 31.5/3
 	for idx := 0; idx < f.NumVertices(); idx++ {
@@ -20,6 +19,14 @@ func TestTspSZiParallelCorrectionStress(t *testing.T) {
 		f.U[idx] = float32(-math.Sin(x)*math.Cos(y) - 0.08*math.Cos(x)*math.Sin(y))
 		f.V[idx] = float32(math.Cos(x)*math.Sin(y) - 0.08*math.Sin(x)*math.Cos(y))
 	}
+	return f
+}
+
+// A field engineered to produce many wrong separatrices so the speculative
+// parallel correction actually overlaps: run under -race to validate the
+// locking discipline of patchLog.
+func TestTspSZiParallelCorrectionStress(t *testing.T) {
+	f := stressField()
 	opts := Options{
 		Variant: TspSZi, Mode: ebound.Absolute, ErrBound: 0.08,
 		Params: testParams(), Tau: 0.05, // strict: force many corrections

@@ -58,6 +58,9 @@ func CompressSequenceCtx(ctx context.Context, frames []*field.Field, opts Option
 	if !(o.ErrBound > 0) {
 		return nil, fmt.Errorf("core: error bound must be positive, got %v", o.ErrBound)
 	}
+	if !(o.Tau > 0) {
+		return nil, fmt.Errorf("core: Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
+	}
 	if err := validateFrameShapes(frames); err != nil {
 		return nil, err
 	}

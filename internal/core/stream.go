@@ -80,6 +80,9 @@ func CompressSequenceStream(ctx context.Context, w io.Writer, count int, fetch f
 	if !(o.ErrBound > 0) {
 		return nil, streamerr.Header("sequence", "error bound must be positive, got %v", o.ErrBound)
 	}
+	if !(o.Tau > 0) {
+		return nil, streamerr.Header("sequence", "Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
+	}
 	c := o.Collector
 
 	cw := &countWriter{w: w}

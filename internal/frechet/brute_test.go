@@ -33,6 +33,41 @@ func bruteDistance(p, q []Point) float64 {
 	return c(len(p)-1, len(q)-1)
 }
 
+// fullWithinTol is the boolean reachability DP over the whole |p|·|q| table,
+// the reference WithinTol must agree with on every input.
+func fullWithinTol(p, q []Point, tol float64) bool {
+	if len(p) == 0 && len(q) == 0 {
+		return true
+	}
+	if len(p) == 0 || len(q) == 0 {
+		return false
+	}
+	t2 := tol * tol
+	close := func(i, j int) bool { return sqDist(p[i], q[j]) <= t2 }
+	prev := make([]bool, len(q))
+	cur := make([]bool, len(q))
+	prev[0] = close(0, 0)
+	if !prev[0] {
+		return false
+	}
+	for j := 1; j < len(q); j++ {
+		prev[j] = prev[j-1] && close(0, j)
+	}
+	for i := 1; i < len(p); i++ {
+		cur[0] = prev[0] && close(i, 0)
+		any := cur[0]
+		for j := 1; j < len(q); j++ {
+			cur[j] = (prev[j] || prev[j-1] || cur[j-1]) && close(i, j)
+			any = any || cur[j]
+		}
+		if !any {
+			return false
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(q)-1]
+}
+
 func TestDistanceMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 500; trial++ {

@@ -61,9 +61,20 @@ func Distance(p, q []Point) float64 {
 }
 
 // WithinTol reports whether the discrete Fréchet distance between p and q is
-// at most tol. It runs the boolean reachability variant of the DP, which is
-// cheaper than Distance and can exit early when a full row becomes
-// unreachable.
+// at most tol. Cell (i, j) of the |p|·|q| coupling table is usable when
+// sqDist(p[i], q[j]) <= tol*tol, and the distance is within tol when a
+// monotone path of usable cells joins (0, 0) to the last cell. WithinTol
+// returns exactly what the boolean reachability DP over the whole table
+// returns, in three tiers, cheapest first:
+//
+//  1. Every coupling pairs the first points and the last points, so when
+//     either pair is unusable the answer is false, in O(1).
+//  2. The index-by-index coupling, with the shorter curve's last point paired
+//     with the rest of the longer one, is such a path; when all its cells are
+//     usable the answer is true, in O(|p|+|q|). Separatrices that track their
+//     original point for point end here.
+//  3. Otherwise the DP runs over each row's reachable band only and stops at
+//     the first row with no reachable cell.
 func WithinTol(p, q []Point, tol float64) bool {
 	if len(p) == 0 && len(q) == 0 {
 		return true
@@ -72,27 +83,74 @@ func WithinTol(p, q []Point, tol float64) bool {
 		return false
 	}
 	t2 := tol * tol
-	close := func(i, j int) bool { return sqDist(p[i], q[j]) <= t2 }
-	prev := make([]bool, len(q))
-	cur := make([]bool, len(q))
-	prev[0] = close(0, 0)
-	if !prev[0] {
+	n, m := len(p), len(q)
+	if !(sqDist(p[0], q[0]) <= t2) || !(sqDist(p[n-1], q[m-1]) <= t2) {
 		return false
 	}
-	for j := 1; j < len(q); j++ {
-		prev[j] = prev[j-1] && close(0, j)
+	if couplingWithin(p, q, t2) {
+		return true
+	}
+	return bandWithin(p, q, t2)
+}
+
+// couplingWithin reports whether every pair of the index-by-index coupling
+// lies within sqrt(t2): (k, k) up to the shorter curve's end, then that
+// curve's last point against each remaining point of the longer one.
+func couplingWithin(p, q []Point, t2 float64) bool {
+	n, m := len(p), len(q)
+	for k := 0; k < max(n, m); k++ {
+		if !(sqDist(p[min(k, n-1)], q[min(k, m-1)]) <= t2) {
+			return false
+		}
+	}
+	return true
+}
+
+// bandWithin is the boolean reachability DP of WithinTol restricted to the
+// reachable band of each row. Cell (i, j) is reachable when it is usable
+// and one of (i-1, j), (i-1, j-1), (i, j-1) is. Row i therefore has no
+// reachable cell left of row i-1's first one (lo), and right of row i-1's
+// last one plus one (hi+1) only the run of usable cells continuing a
+// reachable cell. Cells outside [lo, hi] of the previous row are never read.
+func bandWithin(p, q []Point, t2 float64) bool {
+	m := len(q)
+	prev := make([]bool, m)
+	cur := make([]bool, m)
+	// Row 0 is the run of usable cells from (0, 0).
+	lo, hi := 0, -1
+	for hi+1 < m && sqDist(p[0], q[hi+1]) <= t2 {
+		hi++
+		prev[hi] = true
+	}
+	if hi < 0 {
+		return false
 	}
 	for i := 1; i < len(p); i++ {
-		cur[0] = prev[0] && close(i, 0)
-		any := cur[0]
-		for j := 1; j < len(q); j++ {
-			cur[j] = (prev[j] || prev[j-1] || cur[j-1]) && close(i, j)
-			any = any || cur[j]
+		nlo, nhi := -1, -1
+		left := false // cur[j-1]
+		for j := lo; j < m; j++ {
+			from := left
+			if j <= hi {
+				from = from || prev[j] || (j > lo && prev[j-1])
+			} else if j == hi+1 {
+				from = from || prev[hi]
+			}
+			left = from && sqDist(p[i], q[j]) <= t2
+			cur[j] = left
+			if left {
+				if nlo < 0 {
+					nlo = j
+				}
+				nhi = j
+			} else if j > hi {
+				break // nothing further right can be reached
+			}
 		}
-		if !any {
+		if nlo < 0 {
 			return false
 		}
 		prev, cur = cur, prev
+		lo, hi = nlo, nhi
 	}
-	return prev[len(q)-1]
+	return hi == m-1
 }

@@ -144,13 +144,3 @@ func BenchmarkDistance1000(b *testing.B) {
 		Distance(p, q)
 	}
 }
-
-func BenchmarkWithinTol1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	p := randCurve(rng, 1000)
-	q := randCurve(rng, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WithinTol(p, q, 1.5)
-	}
-}

@@ -55,8 +55,9 @@ const (
 	StageEntropyDecode
 	// StageReconstruct is the region-parallel value reconstruction.
 	StageReconstruct
-	// StageCorrection is the TspSZ-i iterative correction loop, including
-	// its re-verification rounds.
+	// StageCorrection is TspSZ-i verification and correction: round 0, the
+	// first check of every separatrix, then the iterative correction loop
+	// with its re-verification rounds.
 	StageCorrection
 	// StageContainer is TspSZ container assembly (patch packing included).
 	StageContainer

@@ -129,17 +129,16 @@ func Pipeline[T, R any](ctx context.Context, n, workers, window int, prepare fun
 			//lint:allow leakguard done is closed unconditionally by the worker that owns the slot, and emitQ is closed on every dispatcher path
 			<-s.done
 			err, res := s.err, s.res
-			<-sem
 			if err != nil {
 				fe.record(i, err)
-				continue
+			} else if !fe.stop.Load() && !cancelled.Load() {
+				if err := call(func(i int) error { return emit(i, res) }, i); err != nil {
+					fe.record(i, err)
+				}
 			}
-			if fe.stop.Load() || cancelled.Load() {
-				continue
-			}
-			if err := call(func(i int) error { return emit(i, res) }, i); err != nil {
-				fe.record(i, err)
-			}
+			// Item i leaves the window only once emitted (or dropped), so
+			// the dispatcher cannot prepare item i+window before then.
+			<-sem
 		}
 	}()
 
