@@ -32,11 +32,13 @@ race:
 	$(GO) test -race ./...
 
 # 10-second native-fuzzing smoke per decoder entry point, plus the
-# differential target holding frechet.WithinTol to the full reachability DP.
+# differential targets holding frechet.WithinTol to the full reachability DP
+# and ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation.
 # Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
 # as artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWithinTol$$' -fuzztime=10s -run='^$$' ./internal/frechet
+	$(GO) test -fuzz='^FuzzVertexBound$$' -fuzztime=10s -run='^$$' ./internal/ebound
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec
 	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=10s -run='^$$' ./internal/core
@@ -112,6 +114,8 @@ bench:
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/huffman | tee -a bench_raw.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkWithinTol$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/frechet | tee -a bench_raw.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkVertexBound$$' \
+		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/ebound | tee -a bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkFig8Scalability|BenchmarkCompress(Stream|InMemory|StreamEb))$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) . | tee -a bench_raw.txt
 	$(GO) run ./cmd/benchjson -in bench_raw.txt -out $(BENCH_JSON)

@@ -27,12 +27,14 @@ import (
 //
 // The streamed container is byte-identical to Compress with Variant TspSZ1
 // whenever the field's skeleton demands no lossless vertices (no critical
-// points); topological preservation for fields *with* critical points must
-// come through eb: a precomputed per-vertex bound fetcher (negative bound =
-// store losslessly) produced by an earlier analysis pass. With eb nil the
-// stream preserves only the error bound, like the SZ3 baseline. Only the
-// TspSZ1 variant and the Lorenzo predictor are supported; TspSZ-i needs the
-// whole reconstruction resident for iterative correction and cannot stream.
+// points). With eb nil the inner stream is the revised cpSZ's, byte for byte
+// (cpsz.CompressStream derives the in-memory bounds), so critical points
+// are preserved exactly along with the error bound. Separatrices need the
+// whole field to trace, so preserving them must come through eb: a
+// precomputed per-vertex bound fetcher (negative bound = store losslessly)
+// produced by an earlier analysis pass. Only the TspSZ1 variant and the
+// Lorenzo predictor are supported; TspSZ-i needs the whole reconstruction
+// resident for iterative correction and cannot stream.
 func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch field.LayerFetcher, eb field.EbFetcher, opts Options) (written int64, err error) {
 	defer streamerr.CancelGuard("core", &err)
 	o := opts.withDefaults()

@@ -12,8 +12,8 @@ package ebound
 import (
 	"math"
 
-	"tspsz/internal/critical"
 	"tspsz/internal/field"
+	"tspsz/internal/mat"
 )
 
 // Mode selects the error-control flavour.
@@ -63,69 +63,161 @@ func signEB(c float64, coeffs, weights *[3]float64, n int) float64 {
 	return math.Abs(c) / den * margin
 }
 
-// Cell2D returns the maximal error bound for perturbing both components of
-// vertex cur of a triangle with vertex vectors v, such that the cell cannot
-// acquire a false-positive critical point. hasCP reports that the cell
-// already contains a critical point, in which case the vertex must be
-// stored losslessly and eb is 0.
-func Cell2D(v [3][2]float64, cur int, mode Mode) (eb float64, hasCP bool) {
-	m, M := critical.Barycentric2D(v)
-	// A degenerate cell (M == 0) holds no critical point; eligibility below
-	// treats every k as outside so a sign-preserving bound is still derived.
-	//lint:allow floatcmp exact-zero degeneracy guard before dividing by M; the derived bound itself is sign-safe for any M != 0
-	if M != 0 {
-		inside := true
-		for k := 0; k < 3; k++ {
-			if mu := m[k] / M; mu < 0 || mu > 1 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			return 0, true
+// linearization holds one cell's barycentric numerators as affine
+// functions of a perturbation ξ of vertex cur's components: numerator k is
+// d[k] + Σ_i (p[i][k] − d[k])·ξ_i, and their sum is m + Σ_i (pm[i] − m)·ξ_i.
+// Every numerator is linear in the perturbation, so one evaluation of the
+// cell and one per perturbed component give all of them exactly; the bound
+// for any k then reads them without evaluating the cell again.
+type linearization struct {
+	d  [4]float64    // numerators of the unperturbed cell (three in 2D)
+	m  float64       // their sum M
+	p  [3][4]float64 // numerators with component i of vertex cur raised by 1
+	pm [3]float64    // their sums
+}
+
+// unit[i] raises component i by one. Adding the zeros too keeps the float
+// operations those of the reference derivation, where x + 0 maps −0 to +0.
+var unit = [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+
+// holdsCP reports whether the cell contains a critical point: M ≠ 0 and
+// every barycentric coordinate d[k]/M of the nv vertices lies in [0, 1].
+// A NaN coordinate fails neither comparison, so a NaN cell counts as
+// holding one and its vertex is stored losslessly.
+func (l *linearization) holdsCP(nv int) bool {
+	//lint:allow floatcmp exact-zero degeneracy guard before dividing by M; a degenerate cell holds no critical point
+	if l.m == 0 {
+		return false
+	}
+	for k := 0; k < nv; k++ {
+		if mu := l.d[k] / l.m; mu < 0 || mu > 1 {
+			return false
 		}
 	}
-	weights := perturbWeights2D(v[cur], mode)
+	return true
+}
+
+// bound returns the largest ε that keeps the signs of numerator k and of
+// M minus it under any perturbation |ξ_i| ≤ ε·w_i of the n components.
+func (l *linearization) bound(k, n int, w *[3]float64) float64 {
+	c0, c1 := l.d[k], l.m-l.d[k]
+	var a0, a1 [3]float64
+	for i := 0; i < n; i++ {
+		a0[i] = l.p[i][k] - c0
+		a1[i] = (l.pm[i] - l.p[i][k]) - c1
+	}
+	return math.Min(signEB(c0, &a0, w, n), signEB(c1, &a1, w, n))
+}
+
+// coupled is Theorem 1's bound for a critical-point-free cell of nv
+// vertices: the largest per-k bound over the coordinates that lie outside
+// [0, 1], since keeping any one of them outside keeps the zero out. In a
+// degenerate cell (M = 0) every k counts as outside.
+func (l *linearization) coupled(nv, n int, w *[3]float64) float64 {
 	best := 0.0
-	for k := 0; k < 3; k++ {
-		if M != 0 { //lint:allow floatcmp exact-zero division guard, same as above
-			if mu := m[k] / M; mu >= 0 && mu <= 1 {
+	for k := 0; k < nv; k++ {
+		//lint:allow floatcmp exact-zero division guard; the derived bound itself is sign-safe for any M != 0
+		if l.m != 0 {
+			if mu := l.d[k] / l.m; mu >= 0 && mu <= 1 {
 				continue
 			}
 		}
-		// Coefficients of m_k and (M − m_k) w.r.t. (ξ_u, ξ_v) on vertex
-		// cur, obtained exactly from unit perturbations (all expressions
-		// are linear in the perturbation).
-		cM, a0, a1 := linearize2D(v, cur, k)
-		e := math.Min(
-			signEB(cM[0], &a0, &weights, 2),
-			signEB(cM[1], &a1, &weights, 2),
-		)
-		if e > best {
+		if e := l.bound(k, n, w); e > best {
 			best = e
 		}
 	}
-	return best, false
+	return best
 }
 
-// linearize2D returns the constants and perturbation coefficients of
-// (m_k, M−m_k) as linear functions of the perturbation (ξ_u, ξ_v) applied
-// to vertex cur: value = C + A_u·ξ_u + A_v·ξ_v.
-func linearize2D(v [3][2]float64, cur, k int) (c [2]float64, a0, a1 [3]float64) {
-	eval := func(du, dv float64) (mk, rest float64) {
-		w := v
-		w[cur][0] += du
-		w[cur][1] += dv
-		m, M := critical.Barycentric2D(w)
-		return m[k], M - m[k]
+// sos is the cpSZ-sos bound: the smallest per-k bound, keeping the sign of
+// every numerator.
+func (l *linearization) sos(nv, n int, w *[3]float64) float64 {
+	best := math.Inf(1)
+	for k := 0; k < nv; k++ {
+		if e := l.bound(k, n, w); e < best {
+			best = e
+		}
 	}
-	c0, c1 := eval(0, 0)
-	u0, u1 := eval(1, 0)
-	v0, v1 := eval(0, 1)
-	c = [2]float64{c0, c1}
-	a0 = [3]float64{u0 - c0, v0 - c0}
-	a1 = [3]float64{u1 - c1, v1 - c1}
-	return c, a0, a1
+	return best
+}
+
+// numerators2D returns critical.Barycentric2D(*v) by the same float
+// operations, except that numerator skip, the one that does not read
+// v[skip], is taken as given when skip ≥ 0.
+func numerators2D(v *[3][2]float64, skip int, given float64) (d [4]float64, m float64) {
+	if skip != 0 {
+		d[0] = mat.Det2(v[1][0], v[2][0], v[1][1], v[2][1])
+	}
+	if skip != 1 {
+		d[1] = mat.Det2(v[2][0], v[0][0], v[2][1], v[0][1])
+	}
+	if skip != 2 {
+		d[2] = mat.Det2(v[0][0], v[1][0], v[0][1], v[1][1])
+	}
+	if skip >= 0 {
+		d[skip] = given
+	}
+	return d, d[0] + d[1] + d[2]
+}
+
+// det3 is the determinant of the matrix with columns a, b, c, as
+// critical.Barycentric3D evaluates it.
+func det3(a, b, c *[3]float64) float64 {
+	return mat.Det3([9]float64{
+		a[0], b[0], c[0],
+		a[1], b[1], c[1],
+		a[2], b[2], c[2],
+	})
+}
+
+// numerators3D is numerators2D's tetrahedral analogue, repeating
+// critical.Barycentric3D.
+func numerators3D(v *[4][3]float64, skip int, given float64) (d [4]float64, m float64) {
+	if skip != 0 {
+		d[0] = -det3(&v[1], &v[2], &v[3])
+	}
+	if skip != 1 {
+		d[1] = det3(&v[0], &v[2], &v[3])
+	}
+	if skip != 2 {
+		d[2] = -det3(&v[0], &v[1], &v[3])
+	}
+	if skip != 3 {
+		d[3] = det3(&v[0], &v[1], &v[2])
+	}
+	if skip >= 0 {
+		d[skip] = given
+	}
+	return d, d[0] + d[1] + d[2] + d[3]
+}
+
+// cell2D returns the maximal error bound for perturbing both components of
+// vertex cur of a triangle with vertex vectors v, such that the cell cannot
+// acquire a false-positive critical point. hasCP reports that the cell
+// already contains a critical point, in which case the vertex must be
+// stored losslessly and eb is 0. With sos it returns the cpSZ-sos bound
+// instead, which keeps the sign of every m_k and M−m_k, and never reports
+// hasCP.
+//
+// Both come from one linearization of the cell. v[cur] is perturbed in
+// place and restored before returning.
+func cell2D(v *[3][2]float64, cur int, mode Mode, sos bool) (eb float64, hasCP bool) {
+	var l linearization
+	l.d, l.m = numerators2D(v, -1, 0)
+	if !sos && l.holdsCP(3) {
+		return 0, true
+	}
+	x := v[cur]
+	for i := 0; i < 2; i++ {
+		v[cur] = [2]float64{x[0] + unit[i][0], x[1] + unit[i][1]}
+		l.p[i], l.pm[i] = numerators2D(v, cur, l.d[cur])
+	}
+	v[cur] = x
+	w := perturbWeights2D(x, mode)
+	if sos {
+		return l.sos(3, 2, &w), false
+	}
+	return l.coupled(3, 2, &w), false
 }
 
 func perturbWeights2D(cur [2]float64, mode Mode) [3]float64 {
@@ -135,60 +227,25 @@ func perturbWeights2D(cur [2]float64, mode Mode) [3]float64 {
 	return [3]float64{math.Abs(cur[0]), math.Abs(cur[1])}
 }
 
-// Cell3D is the tetrahedral analogue of Cell2D, using the generalized
+// cell3D is the tetrahedral analogue of cell2D, using the generalized
 // Lemma 1 bound ε = |C| / Σ|A_i| over the three perturbed components.
-func Cell3D(v [4][3]float64, cur int, mode Mode) (eb float64, hasCP bool) {
-	d, M := critical.Barycentric3D(v)
-	//lint:allow floatcmp exact-zero degeneracy guard before dividing by M; the derived bound itself is sign-safe for any M != 0
-	if M != 0 {
-		inside := true
-		for k := 0; k < 4; k++ {
-			if mu := d[k] / M; mu < 0 || mu > 1 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			return 0, true
-		}
+func cell3D(v *[4][3]float64, cur int, mode Mode, sos bool) (eb float64, hasCP bool) {
+	var l linearization
+	l.d, l.m = numerators3D(v, -1, 0)
+	if !sos && l.holdsCP(4) {
+		return 0, true
 	}
-	weights := perturbWeights3D(v[cur], mode)
-	best := 0.0
-	for k := 0; k < 4; k++ {
-		if M != 0 { //lint:allow floatcmp exact-zero division guard, same as above
-			if mu := d[k] / M; mu >= 0 && mu <= 1 {
-				continue
-			}
-		}
-		cM, a0, a1 := linearize3D(v, cur, k)
-		e := math.Min(
-			signEB(cM[0], &a0, &weights, 3),
-			signEB(cM[1], &a1, &weights, 3),
-		)
-		if e > best {
-			best = e
-		}
+	x := v[cur]
+	for i := 0; i < 3; i++ {
+		v[cur] = [3]float64{x[0] + unit[i][0], x[1] + unit[i][1], x[2] + unit[i][2]}
+		l.p[i], l.pm[i] = numerators3D(v, cur, l.d[cur])
 	}
-	return best, false
-}
-
-func linearize3D(v [4][3]float64, cur, k int) (c [2]float64, a0, a1 [3]float64) {
-	eval := func(du, dv, dw float64) (dk, rest float64) {
-		w := v
-		w[cur][0] += du
-		w[cur][1] += dv
-		w[cur][2] += dw
-		d, M := critical.Barycentric3D(w)
-		return d[k], M - d[k]
+	v[cur] = x
+	w := perturbWeights3D(x, mode)
+	if sos {
+		return l.sos(4, 3, &w), false
 	}
-	c0, c1 := eval(0, 0, 0)
-	pu0, pu1 := eval(1, 0, 0)
-	pv0, pv1 := eval(0, 1, 0)
-	pw0, pw1 := eval(0, 0, 1)
-	c = [2]float64{c0, c1}
-	a0 = [3]float64{pu0 - c0, pv0 - c0, pw0 - c0}
-	a1 = [3]float64{pu1 - c1, pv1 - c1, pw1 - c1}
-	return c, a0, a1
+	return l.coupled(4, 3, &w), false
 }
 
 func perturbWeights3D(cur [3]float64, mode Mode) [3]float64 {
@@ -205,37 +262,39 @@ func perturbWeights3D(cur [3]float64, mode Mode) [3]float64 {
 // working values: already-compressed vertices carry their decompressed
 // values, unprocessed vertices their originals.
 func VertexBound(f *field.Field, idx int, mode Mode) (eb float64, hasCP bool) {
-	var cbuf [24]int
-	cells := f.Grid.VertexCells(idx, cbuf[:0])
+	return vertexBound(f, idx, mode, false)
+}
+
+// vertexBound takes the minimum of cell2D or cell3D over the star of
+// vertex idx, stopping at the first cell that holds a critical point. No
+// cell bound is NaN, so neither the minimum nor the stop depends on the
+// order in which the star is visited.
+func vertexBound(f *field.Field, idx int, mode Mode, sos bool) (eb float64, hasCP bool) {
+	g := f.Grid
+	i, j, k := g.VertexCoords(idx)
+	star := g.Star()
 	eb = math.Inf(1)
-	var vbuf [4]int
-	for _, c := range cells {
-		vs := f.Grid.CellVertices(c, vbuf[:0])
+	for s := range star {
+		sc := &star[s]
+		if _, ok := g.StarCellAt(sc, i, j, k); !ok {
+			continue
+		}
 		var cellEB float64
 		var cellCP bool
 		if f.Dim() == 2 {
 			var v [3][2]float64
-			cur := -1
-			for i, vi := range vs {
-				v[i][0] = float64(f.U[vi])
-				v[i][1] = float64(f.V[vi])
-				if vi == idx {
-					cur = i
-				}
+			for r := range v {
+				vi := idx + g.VertexIndex(sc.Off[r][0], sc.Off[r][1], 0)
+				v[r] = [2]float64{float64(f.U[vi]), float64(f.V[vi])}
 			}
-			cellEB, cellCP = Cell2D(v, cur, mode)
+			cellEB, cellCP = cell2D(&v, sc.Cur, mode, sos)
 		} else {
 			var v [4][3]float64
-			cur := -1
-			for i, vi := range vs {
-				v[i][0] = float64(f.U[vi])
-				v[i][1] = float64(f.V[vi])
-				v[i][2] = float64(f.W[vi])
-				if vi == idx {
-					cur = i
-				}
+			for r := range v {
+				vi := idx + g.VertexIndex(sc.Off[r][0], sc.Off[r][1], sc.Off[r][2])
+				v[r] = [3]float64{float64(f.U[vi]), float64(f.V[vi]), float64(f.W[vi])}
 			}
-			cellEB, cellCP = Cell3D(v, cur, mode)
+			cellEB, cellCP = cell3D(&v, sc.Cur, mode, sos)
 		}
 		if cellCP {
 			return 0, true

@@ -1,8 +1,6 @@
 package ebound
 
 import (
-	"math"
-
 	"tspsz/internal/critical"
 	"tspsz/internal/field"
 )
@@ -17,80 +15,11 @@ import (
 // eligible k), giving the characteristically higher PSNR and lower
 // compression ratio of the cpSZ-sos rows in Tables IV-VII.
 
-// SoSCell2D returns the maximal bound on vertex cur's components that keeps
-// the sign of every m_k and M−m_k of the triangle.
-func SoSCell2D(v [3][2]float64, cur int, mode Mode) float64 {
-	weights := perturbWeights2D(v[cur], mode)
-	best := math.Inf(1)
-	for k := 0; k < 3; k++ {
-		c, a0, a1 := linearize2D(v, cur, k)
-		e := math.Min(
-			signEB(c[0], &a0, &weights, 2),
-			signEB(c[1], &a1, &weights, 2),
-		)
-		if e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// SoSCell3D is the tetrahedral analogue of SoSCell2D.
-func SoSCell3D(v [4][3]float64, cur int, mode Mode) float64 {
-	weights := perturbWeights3D(v[cur], mode)
-	best := math.Inf(1)
-	for k := 0; k < 4; k++ {
-		c, a0, a1 := linearize3D(v, cur, k)
-		e := math.Min(
-			signEB(c[0], &a0, &weights, 3),
-			signEB(c[1], &a1, &weights, 3),
-		)
-		if e < best {
-			best = e
-		}
-	}
-	return best
-}
-
 // VertexBoundSoS aggregates SoS bounds over all cells adjacent to vertex
 // idx. Unlike VertexBound it never requests lossless storage: sign
 // preservation applies uniformly to cells with and without critical points.
 func VertexBoundSoS(f *field.Field, idx int, mode Mode) float64 {
-	var cbuf [24]int
-	cells := f.Grid.VertexCells(idx, cbuf[:0])
-	eb := math.Inf(1)
-	var vbuf [4]int
-	for _, c := range cells {
-		vs := f.Grid.CellVertices(c, vbuf[:0])
-		var cellEB float64
-		if f.Dim() == 2 {
-			var v [3][2]float64
-			cur := -1
-			for i, vi := range vs {
-				v[i][0] = float64(f.U[vi])
-				v[i][1] = float64(f.V[vi])
-				if vi == idx {
-					cur = i
-				}
-			}
-			cellEB = SoSCell2D(v, cur, mode)
-		} else {
-			var v [4][3]float64
-			cur := -1
-			for i, vi := range vs {
-				v[i][0] = float64(f.U[vi])
-				v[i][1] = float64(f.V[vi])
-				v[i][2] = float64(f.W[vi])
-				if vi == idx {
-					cur = i
-				}
-			}
-			cellEB = SoSCell3D(v, cur, mode)
-		}
-		if cellEB < eb {
-			eb = cellEB
-		}
-	}
+	eb, _ := vertexBound(f, idx, mode, true)
 	return eb
 }
 

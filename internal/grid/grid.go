@@ -138,58 +138,77 @@ func (g *Grid) CellVerticesPositions(c int, dst [][3]float64) [][3]float64 {
 	return dst
 }
 
-// VertexCells appends to dst the indices of all cells incident to vertex v
-// and returns the extended slice. A 2D interior vertex touches 6 triangles;
-// a 3D interior vertex touches 24 tetrahedra.
-func (g *Grid) VertexCells(v int, dst []int) []int {
-	i, j, k := g.VertexCoords(v)
-	nx, ny, nz := g.dims[0], g.dims[1], g.dims[2]
-	var vbuf [4]int
-	if g.dim == 2 {
-		for dj := -1; dj <= 0; dj++ {
-			for di := -1; di <= 0; di++ {
-				ci, cj := i+di, j+dj
-				if ci < 0 || cj < 0 || ci >= nx-1 || cj >= ny-1 {
-					continue
-				}
-				sq := ci + cj*(nx-1)
-				for t := 0; t < CellsPerSquare; t++ {
-					c := sq*CellsPerSquare + t
-					if g.cellHasVertex(c, v, vbuf[:0]) {
-						dst = append(dst, c)
-					}
-				}
-			}
-		}
-		return dst
-	}
-	for dk := -1; dk <= 0; dk++ {
-		for dj := -1; dj <= 0; dj++ {
-			for di := -1; di <= 0; di++ {
-				ci, cj, ck := i+di, j+dj, k+dk
-				if ci < 0 || cj < 0 || ck < 0 || ci >= nx-1 || cj >= ny-1 || ck >= nz-1 {
-					continue
-				}
-				cube := ci + (nx-1)*(cj+(ny-1)*ck)
-				for t := 0; t < CellsPerCube; t++ {
-					c := cube*CellsPerCube + t
-					if g.cellHasVertex(c, v, vbuf[:0]) {
-						dst = append(dst, c)
-					}
-				}
-			}
-		}
-	}
-	return dst
+// StarCell is one cell of a vertex star in lattice-offset form. The cells
+// incident to a vertex are the same for every vertex up to translation, so
+// the star is a static table.
+type StarCell struct {
+	// Off holds the lattice offsets of the cell's vertices from the star's
+	// centre, in CellVertices order; Off[0] is the corner of the cell's
+	// unit square or cube. 2D cells use the first three rows, with z = 0.
+	Off [4][3]int
+	// Cur is the row of Off that holds the centre (the zero offset).
+	Cur int
+	t   int // the cell's index within its square or cube
 }
 
-func (g *Grid) cellHasVertex(c, v int, buf []int) bool {
-	for _, cv := range g.CellVertices(c, buf) {
-		if cv == v {
-			return true
+// The stars of the centre vertex of a grid with three vertices per axis:
+// 6 triangles in 2D and 24 Kuhn tetrahedra in 3D.
+var (
+	star2D = buildStar(New2D(3, 3), 1, 1, 0)
+	star3D = buildStar(New3D(3, 3, 3), 1, 1, 1)
+)
+
+func buildStar(g *Grid, ci, cj, ck int) []StarCell {
+	centre := g.VertexIndex(ci, cj, ck)
+	per := CellsPerCube
+	if g.dim == 2 {
+		per = CellsPerSquare
+	}
+	var star []StarCell
+	var buf [4]int
+	for c := 0; c < g.NumCells(); c++ {
+		s := StarCell{Cur: -1, t: c % per}
+		for r, v := range g.CellVertices(c, buf[:0]) {
+			i, j, k := g.VertexCoords(v)
+			s.Off[r] = [3]int{i - ci, j - cj, k - ck}
+			if v == centre {
+				s.Cur = r
+			}
+		}
+		if s.Cur >= 0 {
+			star = append(star, s)
 		}
 	}
-	return false
+	return star
+}
+
+// Star returns the cells incident to an interior vertex of g, as lattice
+// offsets: 6 triangles in 2D, 24 tetrahedra in 3D. A boundary vertex keeps
+// the ones StarCellAt accepts. The table is shared; callers must not
+// modify it.
+func (g *Grid) Star() []StarCell {
+	if g.dim == 2 {
+		return star2D
+	}
+	return star3D
+}
+
+// StarCellAt places star cell s at the vertex with lattice coordinates
+// (i, j, k). It returns the cell's index and true when the cell lies
+// inside g, and false when it sticks out of the grid.
+func (g *Grid) StarCellAt(s *StarCell, i, j, k int) (c int, ok bool) {
+	nx, ny, nz := g.dims[0], g.dims[1], g.dims[2]
+	ci, cj, ck := i+s.Off[0][0], j+s.Off[0][1], k+s.Off[0][2]
+	if ci < 0 || cj < 0 || ci >= nx-1 || cj >= ny-1 {
+		return 0, false
+	}
+	if g.dim == 2 {
+		return (ci+cj*(nx-1))*CellsPerSquare + s.t, true
+	}
+	if ck < 0 || ck >= nz-1 {
+		return 0, false
+	}
+	return (ci+(nx-1)*(cj+(ny-1)*ck))*CellsPerCube + s.t, true
 }
 
 // Locate finds the simplex containing point p and its barycentric

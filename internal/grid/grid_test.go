@@ -93,21 +93,57 @@ func TestCellVerticesDistinctAndInRange(t *testing.T) {
 	}
 }
 
-// Every cell must appear in VertexCells of each of its vertices.
+// starCells lists the cells of vertex v's star that lie inside g, checking
+// that each one's vertices, in CellVertices order, are v plus the star
+// cell's offsets with v at row Cur.
+func starCells(t *testing.T, g *Grid, v int) []int {
+	t.Helper()
+	i, j, k := g.VertexCoords(v)
+	var cells []int
+	for s := range g.Star() {
+		sc := &g.Star()[s]
+		c, ok := g.StarCellAt(sc, i, j, k)
+		if !ok {
+			continue
+		}
+		vs := g.CellVertices(c, nil)
+		for r, cv := range vs {
+			o := sc.Off[r]
+			if want := g.VertexIndex(i+o[0], j+o[1], k+o[2]); cv != want {
+				t.Fatalf("dim %d vertex %d: star cell %d (cell %d) row %d is vertex %d, want %d",
+					g.Dim(), v, s, c, r, cv, want)
+			}
+		}
+		if vs[sc.Cur] != v {
+			t.Fatalf("dim %d vertex %d: star cell %d has vertex %d at Cur", g.Dim(), v, s, vs[sc.Cur])
+		}
+		cells = append(cells, c)
+	}
+	return cells
+}
+
+// The star table placed at a vertex must yield exactly the cells that
+// contain it, each once, with CellVertices' vertex order: checked for every
+// vertex, boundary or not, of small grids.
 func TestVertexCellsConsistency(t *testing.T) {
-	for _, g := range []*Grid{New2D(5, 4), New3D(3, 4, 4)} {
+	for _, g := range []*Grid{New2D(2, 2), New2D(2, 5), New2D(5, 4), New3D(2, 2, 2), New3D(3, 4, 4), New3D(4, 2, 3)} {
+		want := make([][]int, g.NumVertices())
 		for c := 0; c < g.NumCells(); c++ {
 			for _, v := range g.CellVertices(c, nil) {
-				found := false
-				for _, vc := range g.VertexCells(v, nil) {
-					if vc == c {
-						found = true
-						break
-					}
+				want[v] = append(want[v], c)
+			}
+		}
+		for v := range want {
+			got := starCells(t, g, v)
+			seen := map[int]bool{}
+			for _, c := range got {
+				if seen[c] {
+					t.Fatalf("dim %d vertex %d: cell %d twice in the star", g.Dim(), v, c)
 				}
-				if !found {
-					t.Fatalf("dim %d: cell %d missing from VertexCells(%d)", g.Dim(), c, v)
-				}
+				seen[c] = true
+			}
+			if len(got) != len(want[v]) {
+				t.Fatalf("dim %d vertex %d: star has %d cells %v, want %v", g.Dim(), v, len(got), got, want[v])
 			}
 		}
 	}
@@ -115,13 +151,17 @@ func TestVertexCellsConsistency(t *testing.T) {
 
 func TestVertexCellsInteriorCounts(t *testing.T) {
 	g2 := New2D(5, 5)
-	v := g2.VertexIndex(2, 2, 0)
-	if got := len(g2.VertexCells(v, nil)); got != 6 {
+	if got := len(g2.Star()); got != 6 {
+		t.Errorf("2D star table has %d cells, want 6", got)
+	}
+	if got := len(starCells(t, g2, g2.VertexIndex(2, 2, 0))); got != 6 {
 		t.Errorf("2D interior vertex touches %d cells, want 6", got)
 	}
 	g3 := New3D(5, 5, 5)
-	v = g3.VertexIndex(2, 2, 2)
-	if got := len(g3.VertexCells(v, nil)); got != 24 {
+	if got := len(g3.Star()); got != 24 {
+		t.Errorf("3D star table has %d cells, want 24", got)
+	}
+	if got := len(starCells(t, g3, g3.VertexIndex(2, 2, 2))); got != 24 {
 		t.Errorf("3D interior vertex touches %d cells, want 24", got)
 	}
 }
@@ -259,14 +299,5 @@ func BenchmarkLocate3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Locate(pts[i%len(pts)])
-	}
-}
-
-func BenchmarkVertexCells3D(b *testing.B) {
-	g := New3D(64, 64, 64)
-	buf := make([]int, 0, 24)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.VertexCells(i%g.NumVertices(), buf[:0])
 	}
 }

@@ -63,12 +63,13 @@ func FieldLayers(f *Field) LayerFetcher { return field.Layers(f) }
 // for fields whose skeleton demands no lossless vertices, and decodes with
 // Decompress either way.
 //
-// Topology preservation on the streaming path comes through eb: critical
-// points cannot be detected slab-locally at full fidelity, so a prior
-// analysis pass streams its per-vertex bounds (negative = store losslessly)
-// and the encoder honors them exactly. With eb nil the stream guarantees the
-// error bound only. Only TspSZ1 with the Lorenzo predictor streams; TspSZi
-// needs the whole reconstruction resident and is rejected.
+// With eb nil the sweep derives the same per-vertex bounds as the in-memory
+// revised cpSZ, so the error bound holds and every critical point survives
+// in its cell with its type and position. Separatrices cannot be traced
+// slab-locally, so preserving them comes through eb: a prior analysis pass
+// streams its per-vertex bounds (negative = store losslessly) and the
+// encoder honors them exactly. Only TspSZ1 with the Lorenzo predictor
+// streams; TspSZi needs the whole reconstruction resident and is rejected.
 func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch LayerFetcher, eb EbFetcher, opts Options) (int64, error) {
 	return core.CompressStream(ctx, w, nx, ny, nz, fetch, eb, opts)
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"tspsz"
+	"tspsz/internal/critical"
+	"tspsz/internal/datagen"
 )
 
 // laminarField is a smooth critical-point-free 3D field: TspSZ-1 marks no
@@ -71,6 +73,41 @@ func TestStreamDifferential(t *testing.T) {
 					t.Fatalf("workers=%d comp %d vertex %d: error %v exceeds bound", workers, c, i, d)
 				}
 			}
+		}
+	}
+}
+
+// TestStreamNilEbKeepsCriticalPoints: without a bound fetcher the layer
+// sweep still derives the revised cpSZ's per-vertex bounds, so a streamed
+// archive of a field full of critical points keeps every one of them in
+// its cell, with its type and position. Only separatrices need eb.
+func TestStreamNilEbKeepsCriticalPoints(t *testing.T) {
+	f, err := datagen.ByName("hurricane", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := critical.Extract(f)
+	if len(orig) == 0 {
+		t.Fatal("setup: no critical points")
+	}
+	nx, ny, nz := f.Grid.Dims()
+	opts := tspsz.Options{Variant: tspsz.TspSZ1, Mode: tspsz.ModeAbsolute, ErrBound: 5e-3, Workers: 2}
+	var buf bytes.Buffer
+	if _, err := tspsz.CompressStream(nil, &buf, nx, ny, nz, tspsz.FieldLayers(f), nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := tspsz.Decompress(buf.Bytes(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := critical.Extract(dec)
+	if len(got) != len(orig) {
+		t.Fatalf("%d critical points after streaming, want %d", len(got), len(orig))
+	}
+	for i := range orig {
+		if got[i].Cell != orig[i].Cell || got[i].Type != orig[i].Type || got[i].Pos != orig[i].Pos {
+			t.Fatalf("critical point %d: cell %d type %v at %v, want cell %d type %v at %v",
+				i, got[i].Cell, got[i].Type, got[i].Pos, orig[i].Cell, orig[i].Type, orig[i].Pos)
 		}
 	}
 }
