@@ -16,11 +16,11 @@ vet:
 # concurrency, deterministic kernels, checked codec I/O, no lossy
 # narrowing, taint-tracked stream values: no allocation size or slice
 # index from the compressed stream without a dominating bound check,
-# panic-safe parallel dispatch, provably disjoint worker writes, and
-# resource lifetimes: pooled buffers released exactly once with no
-# use-after-put or escape, Closers/tickers/profiles released on all
-# paths, no goroutine whose only exit is a bare channel op). See
-# `go run ./cmd/tsplint -help` for the full 11-check list and the
+# provably disjoint worker writes, and resource lifetimes: pooled
+# buffers released exactly once with no use-after-put or escape,
+# Closers/tickers/profiles released on all paths, no goroutine whose
+# only exit is a bare channel op). See
+# `go run ./cmd/tsplint -help` for the full 10-check list and the
 # //lint:allow suppression syntax.
 lint:
 	$(GO) run ./cmd/tsplint ./...

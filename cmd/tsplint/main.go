@@ -7,7 +7,7 @@
 // dominating bound check (an interprocedural taint analysis: per-function
 // summaries over a module-wide call graph carry taint through calls,
 // returns, and method dispatch, and report parameter-attributed findings
-// at the call site), no writes to captured state inside parallel
+// at the call site), no writes to captured state inside parallel.For
 // worker closures unless they are provably disjoint across workers
 // (raceguard), pooled buffers released exactly once on every path and
 // never used or escaping after release (poolguard), and closeable

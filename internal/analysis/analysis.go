@@ -20,13 +20,10 @@
 //	              from the untrusted stream without a dominating bound
 //	indexguard  — no slice/array index or slice bound that derives from
 //	              the untrusted stream without a dominating range check
-//	panicguard  — no bare parallel.For/ForChunks/ReduceRanges in the
-//	              decode-path packages; workers must dispatch through the
-//	              panic-containing *Err variants
-//	raceguard   — no write to captured state inside a parallel worker
-//	              closure unless it is provably disjoint across workers
-//	              (index derived from the worker's range parameters, or a
-//	              worker-private view/allocation)
+//	raceguard   — no write to captured state inside a parallel.For
+//	              worker closure unless it is provably disjoint across
+//	              workers (index derived from the worker's iteration
+//	              index, or a worker-private view/allocation)
 //	poolguard   — every sync.Pool / arena acquisition is released exactly
 //	              once on every exit path, never used after release, and
 //	              never escapes except by transfer to a callee whose
@@ -101,7 +98,6 @@ func AllChecks() []*Check {
 		narrowingCheck(),
 		allocguardCheck(),
 		indexguardCheck(),
-		panicguardCheck(),
 		raceguardCheck(),
 		poolguardCheck(),
 		leakguardCheck(),

@@ -299,9 +299,12 @@ func (m *Module) loadAll(rels, dirs []string) error {
 	for len(frontier) > 0 {
 		deps := make([][]string, len(frontier))
 		batch := frontier
-		parallel.For(len(batch), 0, 1, func(i int) {
+		if err := parallel.For(nil, len(batch), 0, 1, func(i int) error {
 			deps[i] = m.scanImports(batch[i], dfset, known)
-		})
+			return nil
+		}); err != nil {
+			return err
+		}
 		// A fresh slice, not frontier[:0]: batch aliases the old backing
 		// array, and appends below must not scribble over it while the
 		// loops that follow still read batch.
@@ -361,9 +364,12 @@ func (m *Module) loadAll(rels, dirs []string) error {
 	// Phase 4 — parse and type-check, wave by wave.
 	for _, wave := range waves {
 		sort.Slice(wave, func(i, j int) bool { return wave[i].rel < wave[j].rel })
-		parallel.For(len(wave), 0, 1, func(i int) {
+		if err := parallel.For(nil, len(wave), 0, 1, func(i int) error {
 			m.loadSlot(wave[i])
-		})
+			return nil
+		}); err != nil {
+			return err
+		}
 	}
 
 	// Surface the first failure in deterministic order. Type errors stay

@@ -14,9 +14,9 @@ func parallelismCheck() *Check {
 		Doc: `Flags go statements, sync.WaitGroup usage, and channel construction
 (make(chan ...)) outside internal/parallel. TspSZ's bit-deterministic
 archives depend on every concurrent loop flowing through the audited
-dispatcher (parallel.For / parallel.ForChunks), whose work decomposition
-is deterministic for a given worker count; ad-hoc goroutine fan-out is
-where nondeterminism and data races enter. Centralizing concurrency is
+dispatcher (parallel.For), whose work decomposition is deterministic for
+a given worker count; ad-hoc goroutine fan-out is where nondeterminism
+and data races enter. Centralizing concurrency is
 also what makes the -race CI job meaningful: the dispatcher's tests
 exercise the only goroutine-spawning code paths.`,
 		Run: runParallelism,
@@ -32,7 +32,7 @@ func runParallelism(p *Package) []Finding {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			out = append(out, p.finding("parallelism", n,
-				"go statement outside internal/parallel; route concurrency through parallel.For or parallel.ForChunks"))
+				"go statement outside internal/parallel; route concurrency through parallel.For"))
 		case *ast.SelectorExpr:
 			if pkgSelector(p.Info, n, "sync", "WaitGroup") {
 				out = append(out, p.finding("parallelism", n,

@@ -5,17 +5,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// raceguard inspects every worker closure handed to one of the six
-// internal/parallel dispatchers (For, ForErr, ForChunks, ForChunksErr,
-// ReduceRanges, ReduceRangesErr) and flags writes to captured state that
-// are not provably disjoint across workers.
+// raceguard inspects every worker closure handed to internal/parallel's
+// loop dispatcher, For, and flags writes to captured state that are not
+// provably disjoint across workers.
 //
 // The analysis is a must-analysis over the closure body:
 //
-//   - The closure's own parameters (the worker index i, or the chunk
-//     bounds lo/hi) are "derived". A local is derived when every
+//   - The closure's own parameter (the iteration index i) is "derived",
+//     and so is a captured value indexed by it (rs[i][0], the lo bound of
+//     the worker's parallel.Ranges extent). A local is derived when every
 //     assignment reaching it is an arithmetic combination containing at
 //     least one derived operand and no unknown variable (loop counters
 //     initialised from lo and stepped by a constant stay derived; range
@@ -36,25 +37,14 @@ import (
 // Passing a whole captured slice to a function that writes it is outside
 // the model; slice the argument to the worker's extent instead.
 
-// dispatcherWorkers maps dispatcher name -> arity of the worker closure's
-// range parameters (1 for the per-index forms, 2 for the chunked forms).
-var dispatcherWorkers = map[string]int{
-	"For":             1,
-	"ForErr":          1,
-	"ForChunks":       2,
-	"ForChunksErr":    2,
-	"ReduceRanges":    2,
-	"ReduceRangesErr": 2,
-}
-
 func raceguardCheck() *Check {
 	return &Check{
 		Name: "raceguard",
 		Doc: `Flags writes to captured variables inside worker closures passed to
-parallel.For/ForErr/ForChunks/ForChunksErr/ReduceRanges/ReduceRangesErr
-unless every write is provably disjoint across workers: element writes
-must use an index derived from the worker's range parameters (or go
-through a private view like buf[lo:hi]), map writes are never safe, and
+parallel.For unless every write is provably disjoint across workers:
+element writes must use an index derived from the worker's iteration
+index (or go through a private view like buf[lo:hi] over its
+parallel.Ranges extent), map writes are never safe, and
 captured scalar/error/slice-header mutation (counters, err = ...,
 x = append(x, ...)) is always reported. Method calls on captured values
 are allowed, so sync/atomic, mutexes, and obs collectors pass.`,
@@ -76,30 +66,41 @@ func runRaceguard(p *Package) []Finding {
 		}
 	}
 	inspectFiles(p, func(f *ast.File, n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if lit := forWorker(p.Info, n); lit != nil {
+			keep(analyzeWorker(p, lit))
 		}
-		name, ok := dispatcherSelector(p.Info, call.Fun)
-		if !ok {
-			return true
-		}
-		if _, ok := dispatcherWorkers[name]; !ok {
-			return true
-		}
-		if len(call.Args) == 0 {
-			return true
-		}
-		lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-		if !ok {
-			// Named worker functions are out of scope: their bodies are
-			// covered when they contain dispatcher calls of their own.
-			return true
-		}
-		keep(analyzeWorker(p, lit))
 		return true
 	})
 	return out
+}
+
+// forWorker returns the worker closure of n when n is a call
+// parallel.For(..., func(i int) error {...}) and parallel resolves to an
+// import of the internal/parallel package (of any module). Named worker
+// functions are out of scope: their bodies are covered when they contain
+// For calls of their own.
+func forWorker(info *types.Info, n ast.Node) *ast.FuncLit {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "For" {
+		return nil
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return nil
+	}
+	if path := pn.Imported().Path(); path != "internal/parallel" && !strings.HasSuffix(path, "/internal/parallel") {
+		return nil
+	}
+	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	return lit
 }
 
 // workerScan is the per-closure analysis state.
@@ -146,22 +147,12 @@ func (w *workerScan) captured(obj types.Object) bool {
 	return obj.Pos() < w.lit.Pos() || obj.Pos() > w.lit.End()
 }
 
-// innerWorkerLits returns the worker closures of dispatcher calls nested
-// inside this worker's body.
+// innerWorkerLits returns the worker closures of For calls nested inside
+// this worker's body.
 func (w *workerScan) innerWorkerLits() map[*ast.FuncLit]bool {
 	out := map[*ast.FuncLit]bool{}
 	ast.Inspect(w.lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if _, ok := dispatcherSelector(w.p.Info, call.Fun); !ok {
-			return true
-		}
-		if len(call.Args) == 0 {
-			return true
-		}
-		if inner, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
+		if inner := forWorker(w.p.Info, n); inner != nil {
 			out[inner] = true
 		}
 		return true
@@ -626,9 +617,9 @@ func (w *workerScan) flagVarWrite(id *ast.Ident, obj *types.Var, rhs ast.Expr, t
 	case isAppendTo(w.p.Info, rhs, obj):
 		w.flag(id, "append to captured slice %s inside a parallel worker mutates a shared slice header; give each worker a disjoint pre-sized extent instead", name)
 	case isErrorVar(obj):
-		w.flag(id, "write to captured error variable %s inside a parallel worker; return the error from a ForErr/ForChunksErr worker instead", name)
+		w.flag(id, "write to captured error variable %s inside a parallel worker; return it from the worker, which parallel.For propagates, instead", name)
 	case tok == token.INC || tok == token.DEC || isCompound(tok):
-		w.flag(id, "non-atomic update of captured variable %s inside a parallel worker; use a per-range reduction (parallel.ReduceRanges) or sync/atomic", name)
+		w.flag(id, "non-atomic update of captured variable %s inside a parallel worker; use a per-range reduction (one result slot per parallel.Ranges extent) or sync/atomic", name)
 	default:
 		w.flag(id, "write to captured variable %s inside a parallel worker; workers race on the shared location", name)
 	}

@@ -1,51 +1,28 @@
 package analysis
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // fixtureParallel is a serial stand-in for internal/parallel with the
-// same exported dispatcher surface, so raceguard fixtures type-check
-// without importing the real module.
+// same exported loop surface, so raceguard fixtures type-check without
+// importing the real module.
 const fixtureParallel = `package parallel
+
+import "context"
 
 func Workers(n int) int { return 1 }
 
-func For(n, workers, grain int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-func ForErr(n, workers, grain int, fn func(i int) error) error {
+func For(ctx context.Context, n, workers, grain int, fn func(i int) error) error {
 	for i := 0; i < n; i++ {
 		if err := fn(i); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func ForChunks(n, workers int, fn func(lo, hi int)) {
-	if n > 0 {
-		fn(0, n)
-	}
-}
-
-func ForChunksErr(n, workers int, fn func(lo, hi int) error) error {
-	if n > 0 {
-		return fn(0, n)
-	}
-	return nil
-}
-
-func ReduceRanges[T any](n, parts, workers int, fn func(lo, hi int) T) []T {
-	out := make([]T, 1)
-	out[0] = fn(0, n)
-	return out
-}
-
-func ReduceRangesErr[T any](n, parts, workers int, fn func(lo, hi int) (T, error)) ([]T, error) {
-	v, err := fn(0, n)
-	return []T{v}, err
 }
 
 func Ranges(n, workers int) [][2]int {
@@ -62,50 +39,57 @@ func TestRaceguardSharedWrites(t *testing.T) {
 		"internal/kern/race.go": `package kern
 
 import (
+	"context"
 	"errors"
 
 	"fixture/internal/parallel"
 )
 
-func SumRace(xs []float64) float64 {
+func SumRace(ctx context.Context, xs []float64) (float64, error) {
 	var total float64
-	parallel.For(len(xs), 4, 1, func(i int) {
+	err := parallel.For(ctx, len(xs), 4, 1, func(i int) error {
 		total += xs[i]
+		return nil
 	})
-	return total
+	return total, err
 }
 
 func HistRace(vals []int) map[int]int {
 	h := map[int]int{}
-	parallel.ForChunks(len(vals), 4, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
+	rs := parallel.Ranges(len(vals), 4)
+	_ = parallel.For(nil, len(rs), 4, 1, func(i int) error {
+		for j := rs[i][0]; j < rs[i][1]; j++ {
 			h[vals[j]]++
 		}
+		return nil
 	})
 	return h
 }
 
 func CollectRace(n int) []int {
 	var out []int
-	parallel.For(n, 4, 1, func(i int) {
+	_ = parallel.For(nil, n, 4, 1, func(i int) error {
 		out = append(out, i)
+		return nil
 	})
 	return out
 }
 
 func ErrRace(items []string) error {
 	var err error
-	parallel.For(len(items), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(items), 4, 1, func(i int) error {
 		if items[i] == "" {
 			err = errors.New("empty item")
 		}
+		return nil
 	})
 	return err
 }
 
 func SlotRace(out []int, k int) {
-	parallel.For(len(out), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(out), 4, 1, func(i int) error {
 		out[k] = i
+		return nil
 	})
 }
 
@@ -114,27 +98,86 @@ type stats struct {
 }
 
 func FieldRace(xs []int, st *stats) {
-	parallel.For(len(xs), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(xs), 4, 1, func(i int) error {
 		st.peak = xs[i]
+		return nil
 	})
 }
 
 func PtrRace(xs []float64, sum *float64) {
-	parallel.For(len(xs), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(xs), 4, 1, func(i int) error {
 		*sum = *sum + xs[i]
+		return nil
 	})
+}
+
+func CountRace(ctx context.Context, xs []int) (int, error) {
+	n := 0
+	err := parallel.For(ctx, len(xs), 4, 1, func(i int) error {
+		if xs[i] > 0 {
+			n++
+		}
+		return nil
+	})
+	return n, err
 }
 `,
 	})
 	expectLines(t, runCheck(t, dir, "raceguard"),
-		"internal/kern/race.go:12",
-		"internal/kern/race.go:21",
-		"internal/kern/race.go:30",
-		"internal/kern/race.go:39",
-		"internal/kern/race.go:47",
-		"internal/kern/race.go:57",
-		"internal/kern/race.go:63",
+		"internal/kern/race.go:13",
+		"internal/kern/race.go:24",
+		"internal/kern/race.go:34",
+		"internal/kern/race.go:44",
+		"internal/kern/race.go:53",
+		"internal/kern/race.go:64",
+		"internal/kern/race.go:71",
+		"internal/kern/race.go:80",
 	)
+}
+
+// TestRaceguardRealDispatcher runs raceguard against the real
+// internal/parallel sources instead of the stand-in, so the check cannot
+// drift from the dispatcher that production code calls: a captured
+// counter bumped inside a ctx-taking parallel.For worker is flagged.
+func TestRaceguardRealDispatcher(t *testing.T) {
+	files := map[string]string{
+		"internal/kern/count.go": `package kern
+
+import (
+	"context"
+
+	"fixture/internal/parallel"
+)
+
+func CountPositive(ctx context.Context, xs []int) (int, error) {
+	n := 0
+	err := parallel.For(ctx, len(xs), 4, 1, func(i int) error {
+		if xs[i] > 0 {
+			n++
+		}
+		return nil
+	})
+	return n, err
+}
+`,
+	}
+	const real = "../parallel"
+	ents, err := os.ReadDir(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(real, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files["internal/parallel/"+name] = string(src)
+	}
+	expectLines(t, runCheck(t, writeModule(t, files), "raceguard"), "internal/kern/count.go:13")
 }
 
 // TestRaceguardDisjointWrites is the false-positive suite: every worker
@@ -147,19 +190,23 @@ func TestRaceguardDisjointWrites(t *testing.T) {
 		"internal/kern/clean.go": `package kern
 
 import (
+	"context"
 	"sync/atomic"
 
 	"fixture/internal/parallel"
 )
 
 func Fill(out []float64) {
-	parallel.For(len(out), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(out), 4, 1, func(i int) error {
 		out[i] = float64(i) * 0.5
+		return nil
 	})
 }
 
-func Scale(out, src []float64) error {
-	return parallel.ForChunksErr(len(out), 4, func(lo, hi int) error {
+func Scale(ctx context.Context, out, src []float64) error {
+	rs := parallel.Ranges(len(out), 4)
+	return parallel.For(ctx, len(rs), 4, 1, func(i int) error {
+		lo, hi := rs[i][0], rs[i][1]
 		sub := out[lo:hi]
 		for k := range sub {
 			sub[k] = src[lo+k] * 2
@@ -170,7 +217,7 @@ func Scale(out, src []float64) error {
 
 func RangesIdiom(out []float64, n int) error {
 	rs := parallel.Ranges(n, 4)
-	return parallel.ForErr(len(rs), 4, 1, func(i int) error {
+	return parallel.For(nil, len(rs), 4, 1, func(i int) error {
 		lo, hi := rs[i][0], rs[i][1]
 		for j := lo; j < hi; j++ {
 			out[j] = float64(j)
@@ -179,24 +226,28 @@ func RangesIdiom(out []float64, n int) error {
 	})
 }
 
-func PrivateBuffer(out []float64) {
-	parallel.ForChunks(len(out), 4, func(lo, hi int) {
+func PrivateBuffer(out []float64) error {
+	rs := parallel.Ranges(len(out), 4)
+	return parallel.For(nil, len(rs), 4, 1, func(i int) error {
+		lo, hi := rs[i][0], rs[i][1]
 		buf := make([]float64, hi-lo)
 		for k := range buf {
 			buf[k] = float64(lo + k)
 		}
 		copy(out[lo:hi], buf)
+		return nil
 	})
 }
 
-func AtomicCount(xs []int) int64 {
+func AtomicCount(ctx context.Context, xs []int) (int64, error) {
 	var n atomic.Int64
-	parallel.For(len(xs), 4, 1, func(i int) {
+	err := parallel.For(ctx, len(xs), 4, 1, func(i int) error {
 		if xs[i] > 0 {
 			n.Add(1)
 		}
+		return nil
 	})
-	return n.Load()
+	return n.Load(), err
 }
 
 type collector struct {
@@ -206,32 +257,39 @@ type collector struct {
 func (c *collector) Observe(v int64) { c.n.Add(v) }
 
 func CollectorCalls(xs []int, c *collector) {
-	parallel.For(len(xs), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(xs), 4, 1, func(i int) error {
 		c.Observe(int64(xs[i]))
+		return nil
 	})
 }
 
-func ReduceSum(xs []float64) float64 {
-	parts := parallel.ReduceRanges(len(xs), 8, 4, func(lo, hi int) float64 {
+func ReduceSum(xs []float64) (float64, error) {
+	rs := parallel.Ranges(len(xs), 8)
+	parts := make([]float64, len(rs))
+	if err := parallel.For(nil, len(rs), 4, 1, func(i int) error {
 		var s float64
-		for j := lo; j < hi; j++ {
+		for j := rs[i][0]; j < rs[i][1]; j++ {
 			s += xs[j]
 		}
-		return s
-	})
+		parts[i] = s
+		return nil
+	}); err != nil {
+		return 0, err
+	}
 	var total float64
 	for _, p := range parts {
 		total += p
 	}
-	return total
+	return total, nil
 }
 
 func Rows(grid [][]float64) {
-	parallel.For(len(grid), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(grid), 4, 1, func(i int) error {
 		row := grid[i]
 		for k := range row {
 			row[k] = float64(i + k)
 		}
+		return nil
 	})
 }
 `,
@@ -249,8 +307,9 @@ func TestRaceguardSuppression(t *testing.T) {
 import "fixture/internal/parallel"
 
 func LastWins(out []int, k int) {
-	parallel.For(len(out), 4, 1, func(i int) {
+	_ = parallel.For(nil, len(out), 4, 1, func(i int) error {
 		out[k] = i //lint:allow raceguard benign last-writer-wins probe used only in tests
+		return nil
 	})
 }
 `,
@@ -267,19 +326,21 @@ func TestRaceguardNestedDispatch(t *testing.T) {
 
 import "fixture/internal/parallel"
 
-func Tile(grid [][]float64) {
-	parallel.For(len(grid), 4, 1, func(i int) {
+func Tile(grid [][]float64) error {
+	return parallel.For(nil, len(grid), 4, 1, func(i int) error {
 		row := grid[i]
-		parallel.For(len(row), 2, 1, func(j int) {
+		return parallel.For(nil, len(row), 2, 1, func(j int) error {
 			row[j] = float64(i + j)
+			return nil
 		})
 	})
 }
 
-func TileRace(grid [][]float64, k int) {
-	parallel.For(len(grid), 4, 1, func(i int) {
-		parallel.For(len(grid[i]), 2, 1, func(j int) {
+func TileRace(grid [][]float64, k int) error {
+	return parallel.For(nil, len(grid), 4, 1, func(i int) error {
+		return parallel.For(nil, len(grid[i]), 2, 1, func(j int) error {
 			grid[k][j] = float64(j)
+			return nil
 		})
 	})
 }
@@ -289,5 +350,5 @@ func TileRace(grid [][]float64, k int) {
 	// derived) and j is the inner worker's own parameter. TileRace's
 	// inner write uses captured k for the row: flagged once, against
 	// the inner closure.
-	expectLines(t, runCheck(t, dir, "raceguard"), "internal/kern/nest.go:17")
+	expectLines(t, runCheck(t, dir, "raceguard"), "internal/kern/nest.go:18")
 }

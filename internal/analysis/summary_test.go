@@ -286,27 +286,29 @@ func Two(data []byte) ([]byte, []byte) {
 	}
 }
 
-// TestInterprocPanicguardSites: panicguard findings stay anchored to the
-// dispatch site no matter how deep in a helper chain the bare dispatcher
-// sits — the interprocedural machinery must not relocate or duplicate
-// them at call sites the way summary-attributed taint findings are.
-func TestInterprocPanicguardSites(t *testing.T) {
+// TestInterprocRaceguardSites: a raceguard finding stays anchored to the
+// racy write inside the worker no matter how deep in a helper chain the
+// dispatch sits — the interprocedural machinery must not relocate or
+// duplicate it at call sites the way summary-attributed taint findings
+// are.
+func TestInterprocRaceguardSites(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"internal/parallel/parallel.go": fixtureParallel,
 		"internal/core/decode.go": `package core
 
 import "fixture/internal/parallel"
 
-func scatter(out []float64) {
-	parallel.For(len(out), 4, 1, func(i int) {
-		out[i] = float64(i)
+func scatter(out []float64, k int) error {
+	return parallel.For(nil, len(out), 4, 1, func(i int) error {
+		out[k] = float64(i)
+		return nil
 	})
 }
 
-func Decode(data []byte, out []float64) {
-	scatter(out)
+func Decode(data []byte, out []float64) error {
+	return scatter(out, len(data))
 }
 `,
 	})
-	expectLines(t, runCheck(t, dir, "panicguard"), "internal/core/decode.go:6")
+	expectLines(t, runCheck(t, dir, "raceguard"), "internal/core/decode.go:7")
 }

@@ -147,7 +147,7 @@ func Oops(data []byte) []byte {
 			t.Errorf("diagnostic %q does not list check %q", msg, name)
 		}
 	}
-	if len(CheckNames()) != 11 || CheckNames()[10] != "leakguard" {
-		t.Errorf("CheckNames() = %v, want 11 names ending in leakguard", CheckNames())
+	if len(CheckNames()) != 10 || CheckNames()[9] != "leakguard" {
+		t.Errorf("CheckNames() = %v, want 10 names ending in leakguard", CheckNames())
 	}
 }

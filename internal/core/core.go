@@ -134,10 +134,9 @@ func Compress(f *field.Field, opts Options) (*Result, error) {
 	return CompressCtx(nil, f, opts)
 }
 
-// CompressCtx is Compress with cancellation: every parallel stage (critical
-// point extraction aside, which is indivisible) checks ctx at grain
-// boundaries, and an abandoned encode returns a streamerr.ErrCancelled-
-// typed error. A nil ctx never cancels.
+// CompressCtx is Compress with cancellation: every parallel stage checks
+// ctx at grain boundaries, and an abandoned encode returns a
+// streamerr.ErrCancelled-typed error. A nil ctx never cancels.
 func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, err error) {
 	defer streamerr.CancelGuard("core", &err)
 	o := opts.withDefaults()
@@ -229,8 +228,9 @@ func compress1(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	workers := parallel.Workers(o.Workers)
 	var cps []critical.Point
 	if err := c.Do(obs.StageCPExtract, workers, int64(f.NumVertices()), func() error {
-		cps = extractCPs(f, &o)
-		return nil
+		var err error
+		cps, err = extractCPs(ctx, f, &o)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -242,7 +242,7 @@ func compress1(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	saddles := saddleIndices(cps)
 	perSaddle := make([][]int, len(saddles))
 	if err := c.Do(obs.StageTrace, workers, int64(len(saddles)), func() error {
-		return parallel.CtxForErr(ctx, len(saddles), o.Workers, 1, func(i int) error {
+		return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 			var verts []int
 			integrate.TraceSeparatricesOf(f, cps, saddles[i], o.Params, &verts)
 			perSaddle[i] = verts
@@ -288,8 +288,9 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	workers := parallel.Workers(o.Workers)
 	var cps []critical.Point
 	if err := c.Do(obs.StageCPExtract, workers, int64(f.NumVertices()), func() error {
-		cps = extractCPs(f, &o)
-		return nil
+		var err error
+		cps, err = extractCPs(ctx, f, &o)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -312,10 +313,11 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	var td, tdp []integrate.Trajectory
 	var involved [][]int32
 	if err := c.Do(obs.StageTrace, workers, int64(len(saddles)), func() error {
-		var err error
-		if td, err = traceAll(ctx, f, cps, saddles, o.Params, o.Workers); err != nil {
+		sk, err := skeleton.ExtractWithParallelCtx(ctx, f, cps, o.Params, o.Workers)
+		if err != nil {
 			return err
 		}
+		td = sk.Seps
 		tdp, involved, err = traceAllWithInvolved(ctx, dec, cps, saddles, o.Params, o.Workers)
 		return err
 	}); err != nil {
@@ -337,7 +339,7 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	if err := c.Do(obs.StageCorrection, workers, int64(len(td)), func() error {
 		correct := make([]bool, len(td))
 		var queue []int
-		if err := parallel.CtxForErr(ctx, len(td), o.Workers, 4, func(i int) error {
+		if err := parallel.For(ctx, len(td), o.Workers, 4, func(i int) error {
 			correct[i] = skeleton.CheckTraj(&td[i], &tdp[i], o.Tau)
 			return nil
 		}); err != nil {
@@ -358,7 +360,7 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 				// Last resort: patch everything the original separatrices
 				// touch, which provably reproduces them (same argument as
 				// TspSZ-I), then do a final verification round.
-				if err := forceExact(f, dec, cps, saddles, o, log); err != nil {
+				if err := forceExact(ctx, f, dec, cps, saddles, o, log); err != nil {
 					return err
 				}
 			} else {
@@ -366,7 +368,7 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 				// trajectory is fixed against the shared decompressed data;
 				// patch writes are idempotent (they restore originals), and
 				// the subsequent global verification catches interactions.
-				if err := parallel.CtxForErr(ctx, len(queue), o.Workers, 1, func(qi int) error {
+				if err := parallel.For(ctx, len(queue), o.Workers, 1, func(qi int) error {
 					fixTraj(f, dec, cps, loc, &td[queue[qi]], o, log)
 					return nil
 				}); err != nil {
@@ -379,7 +381,7 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 			for _, idx := range log.round {
 				roundSet.Set(idx)
 			}
-			if err := parallel.CtxForErr(ctx, len(td), o.Workers, 4, func(i int) error {
+			if err := parallel.For(ctx, len(td), o.Workers, 4, func(i int) error {
 				if correct[i] && !touchesAny(involved[i], roundSet) {
 					return nil
 				}
@@ -486,8 +488,8 @@ func fixTraj(orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLoca
 
 // forceExact patches every vertex involved in any original separatrix,
 // the TspSZ-I guarantee applied as a fallback.
-func forceExact(orig, dec *field.Field, cps []critical.Point, saddles []int, o Options, log *patchLog) error {
-	return parallel.ForErr(len(saddles), o.Workers, 1, func(i int) error {
+func forceExact(ctx context.Context, orig, dec *field.Field, cps []critical.Point, saddles []int, o Options, log *patchLog) error {
+	return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 		var verts []int
 		integrate.TraceSeparatricesOf(orig, cps, saddles[i], o.Params, &verts)
 		log.traceLocked(func() {
@@ -540,13 +542,14 @@ func (l *patchLog) apply(orig, dec *field.Field, verts []int) {
 	}
 }
 
-// traceAllWithInvolved is traceAll plus per-trajectory deduplicated
-// involved-vertex sets.
+// traceAllWithInvolved traces every separatrix like
+// skeleton.ExtractWithParallelCtx and also returns each trajectory's
+// deduplicated involved-vertex set.
 func traceAllWithInvolved(ctx context.Context, f *field.Field, cps []critical.Point, saddles []int, par integrate.Params, workers int) ([]integrate.Trajectory, [][]int32, error) {
 	perSaddle := make([][]integrate.Trajectory, len(saddles))
 	perInv := make([][][]int32, len(saddles))
 	loc := integrate.NewCPLocator(cps) // read-only after construction
-	if err := parallel.CtxForErr(ctx, len(saddles), workers, 1, func(i int) error {
+	if err := parallel.For(ctx, len(saddles), workers, 1, func(i int) error {
 		cp := cps[saddles[i]]
 		if cp.Type != critical.Saddle {
 			return nil
@@ -606,11 +609,11 @@ func dist(a, b [3]float64) float64 {
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
-func extractCPs(f *field.Field, o *Options) []critical.Point {
+func extractCPs(ctx context.Context, f *field.Field, o *Options) ([]critical.Point, error) {
 	if o.RobustCP {
-		return skeleton.ExtractCPsParallelRobust(f, o.Workers)
+		return skeleton.ExtractCPsParallelRobustCtx(ctx, f, o.Workers)
 	}
-	return skeleton.ExtractCPsParallel(f, o.Workers)
+	return skeleton.ExtractCPsParallelCtx(ctx, f, o.Workers)
 }
 
 func markCPCells(f *field.Field, cps []critical.Point, marks *bitmap.Bitmap) {
@@ -637,30 +640,4 @@ func numSeps(dim, saddles int) int {
 		return 4 * saddles
 	}
 	return 6 * saddles
-}
-
-func traceAll(ctx context.Context, f *field.Field, cps []critical.Point, saddles []int, par integrate.Params, workers int) ([]integrate.Trajectory, error) {
-	perSaddle := make([][]integrate.Trajectory, len(saddles))
-	loc := integrate.NewCPLocator(cps) // shared, read-only
-	if err := parallel.CtxForErr(ctx, len(saddles), workers, 1, func(i int) error {
-		cp := cps[saddles[i]]
-		if cp.Type != critical.Saddle {
-			return nil
-		}
-		seeds, dirs, seedIdx := integrate.SeparatrixSeeds(cp, par.EpsP)
-		for si := range seeds {
-			tr := integrate.Streamline(f, seeds[si], dirs[si], par, loc, nil)
-			tr.Saddle = saddles[i]
-			tr.SeedIdx = seedIdx[si]
-			perSaddle[i] = append(perSaddle[i], tr)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var out []integrate.Trajectory
-	for _, trs := range perSaddle {
-		out = append(out, trs...)
-	}
-	return out, nil
 }

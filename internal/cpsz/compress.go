@@ -40,7 +40,7 @@ func compress(ctx context.Context, f *field.Field, opts Options) (*Result, error
 		// boundary-plane vertices, which still hold original values; no
 		// other interior is reachable through any adjacent cell, so there
 		// are no races and the result is schedule independent.
-		if err := parallel.CtxForErr(ctx, len(interiors), opts.Workers, 1, func(i int) error {
+		if err := parallel.For(ctx, len(interiors), opts.Workers, 1, func(i int) error {
 			compressRegion(work, f, interiors[i], opts, &streams[i])
 			return nil
 		}); err != nil {
@@ -49,7 +49,7 @@ func compress(ctx context.Context, f *field.Field, opts Options) (*Result, error
 		// Stage 2: boundary planes. Their adjacent cells reach only
 		// finalized interiors, and distinct planes share no cells, so
 		// planes are mutually independent.
-		return parallel.CtxForErr(ctx, len(boundaries), opts.Workers, 1, func(i int) error {
+		return parallel.For(ctx, len(boundaries), opts.Workers, 1, func(i int) error {
 			compressRegion(work, f, boundaries[i], opts, &streams[len(interiors)+i])
 			return nil
 		})

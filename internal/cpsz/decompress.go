@@ -162,10 +162,10 @@ func reconstructLorenzo(ctx context.Context, f, ref *field.Field, hdr header, eb
 		return errBadSymbols
 	}
 
-	// Parallel reconstruction: regions are prediction-independent. The Err
-	// variant contains worker panics, so a reconstruction bug driven by
-	// hostile symbols surfaces as an error instead of killing the process.
-	return parallel.CtxForErr(ctx, len(regions), workers, 1, func(ri int) error {
+	// Parallel reconstruction: regions are prediction-independent. For
+	// contains worker panics, so a reconstruction bug driven by hostile
+	// symbols surfaces as an error instead of killing the process.
+	return parallel.For(ctx, len(regions), workers, 1, func(ri int) error {
 		return reconstructRegion(f, ref, regions[ri], hdr, ebSyms, quantSyms, raw, offsets[ri])
 	})
 }

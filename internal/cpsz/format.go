@@ -222,7 +222,7 @@ func appendSymbolSection(ctx context.Context, dst []byte, syms []uint32, workers
 	cc := chunkCount(n, chunkSymbols)
 	workers = parallel.SizedWorkers(workers, cc, 4*int64(n), entropyWorkerBytes)
 	outs := make([]encChunk, cc)
-	err := parallel.CtxForErr(ctx, cc, workers, 1, func(i int) error {
+	err := parallel.For(ctx, cc, workers, 1, func(i int) error {
 		lo, hi := chunkBound(n, cc, i)
 		e, err := encodeSymChunk(table, syms[lo:hi])
 		if err != nil {
@@ -236,7 +236,7 @@ func appendSymbolSection(ctx context.Context, dst []byte, syms []uint32, workers
 		return nil, err
 	}
 	c.Add(obs.CtrChunksEncoded, int64(cc))
-	return mergeChunks(dst, outs, workers), nil
+	return mergeChunks(dst, outs, workers)
 }
 
 // encodeSymChunk encodes one fixed-extent symbol chunk against the shared
@@ -320,7 +320,7 @@ func appendRawSection(ctx context.Context, dst []byte, raw []byte, workers int, 
 	cc := chunkCount(n, chunkRawBytes)
 	workers = parallel.SizedWorkers(workers, cc, int64(n), entropyWorkerBytes)
 	outs := make([]encChunk, cc)
-	err := parallel.CtxForErr(ctx, cc, workers, 1, func(i int) error {
+	err := parallel.For(ctx, cc, workers, 1, func(i int) error {
 		lo, hi := chunkBound(n, cc, i)
 		e, err := encodeRawChunk(raw[lo:hi])
 		if err != nil {
@@ -334,7 +334,7 @@ func appendRawSection(ctx context.Context, dst []byte, raw []byte, workers int, 
 		return nil, err
 	}
 	c.Add(obs.CtrChunksEncoded, int64(cc))
-	return mergeChunks(dst, outs, workers), nil
+	return mergeChunks(dst, outs, workers)
 }
 
 // repoolChunks returns every payload the encode workers deposited before a
@@ -354,8 +354,8 @@ func repoolChunks(outs []encChunk) {
 // then copies every chunk payload into its pre-computed disjoint extent of
 // a single grown region — concurrently, since the extents are a prefix-sum
 // partition — instead of appending payloads one by one. Payload buffers
-// return to the pool once copied.
-func mergeChunks(dst []byte, outs []encChunk, workers int) []byte {
+// return to the pool once copied, also when a copy worker panics.
+func mergeChunks(dst []byte, outs []encChunk, workers int) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(outs)))
 	total := 0
 	for i := range outs {
@@ -368,7 +368,7 @@ func mergeChunks(dst []byte, outs []encChunk, workers int) []byte {
 	}
 	dst = growBytes(dst, total)
 	payload := dst[len(dst)-total:]
-	_ = parallel.ForErr(len(outs), workers, 1, func(i int) error {
+	err := parallel.For(nil, len(outs), workers, 1, func(i int) error {
 		copy(payload[outs[i].off:outs[i].off+len(outs[i].payload)], outs[i].payload)
 		return nil
 	})
@@ -376,7 +376,10 @@ func mergeChunks(dst []byte, outs []encChunk, workers int) []byte {
 		putChunkBuf(outs[i].payload)
 		outs[i].payload = nil
 	}
-	return dst
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // growBytes extends b by n bytes (contents of the extension unspecified;
@@ -769,7 +772,7 @@ func parseSymbolSection(ctx context.Context, data []byte, off, workers int, vers
 	payload := data[off : off+dir.total]
 	out := make([]uint32, count)
 	workers = parallel.SizedWorkers(workers, dir.cc, 4*int64(count), entropyWorkerBytes)
-	err = parallel.CtxForErr(ctx, dir.cc, workers, 1, func(i int) error {
+	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
 		if err := dir.verifyChunk(payload, i, section); err != nil {
 			return err
 		}
@@ -835,7 +838,7 @@ func parseRawSection(ctx context.Context, data []byte, off, workers int, version
 	payload := data[off : off+dir.total]
 	raw := make([]byte, rawLen)
 	workers = parallel.SizedWorkers(workers, dir.cc, int64(rawLen), entropyWorkerBytes)
-	err = parallel.CtxForErr(ctx, dir.cc, workers, 1, func(i int) error {
+	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
 		if err := dir.verifyChunk(payload, i, section); err != nil {
 			return err
 		}
@@ -964,7 +967,7 @@ func scanRawSection(data []byte, off int, version byte) (int, error) {
 }
 
 func scanChunks(dir *chunkDirectory, payload []byte, section string) error {
-	return parallel.ForErr(dir.cc, 0, 1, func(i int) error {
+	return parallel.For(nil, dir.cc, 0, 1, func(i int) error {
 		return dir.verifyChunk(payload, i, section)
 	})
 }

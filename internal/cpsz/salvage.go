@@ -346,7 +346,7 @@ func salvageSymbolSection(ctx context.Context, data []byte, off, workers int, ve
 	out := make([]uint32, count)
 	damaged := make([]bool, dir.cc)
 	workers = parallel.SizedWorkers(workers, dir.cc, 4*int64(count), entropyWorkerBytes)
-	err = parallel.CtxForErr(ctx, dir.cc, workers, 1, func(i int) error {
+	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
 		lo, hi := dir.bound(i)
 		// A decode failure of any flavour — checksum, inflate, entropy,
 		// even a contained panic from hostile-but-checksummed bytes — marks
@@ -426,7 +426,7 @@ func salvageRawSection(ctx context.Context, data []byte, off, workers int, versi
 	raw := make([]byte, rawLen)
 	damaged := make([]bool, dir.cc)
 	workers = parallel.SizedWorkers(workers, dir.cc, int64(rawLen), entropyWorkerBytes)
-	err = parallel.CtxForErr(ctx, dir.cc, workers, 1, func(i int) error {
+	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
 		lo, hi := dir.bound(i)
 		defer func() {
 			if recover() != nil {
@@ -601,7 +601,7 @@ scan:
 			damagedRegion[ri] = true
 		}
 	}
-	err := parallel.CtxForErr(ctx, len(regions), workers, 1, func(ri int) error {
+	err := parallel.For(ctx, len(regions), workers, 1, func(ri int) error {
 		if damagedRegion[ri] {
 			return nil
 		}

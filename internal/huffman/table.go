@@ -83,8 +83,10 @@ func BuildTableCtx(ctx context.Context, symbols []uint32, workers int) (*Table, 
 	if len(symbols) < histogramParts {
 		parts = 1
 	}
-	partial, err := parallel.CtxReduceRangesErr(ctx, len(symbols), parts, workers, func(lo, hi int) (partialHist, error) {
-		seg := symbols[lo:hi]
+	ranges := parallel.Ranges(len(symbols), parts)
+	partial := make([]partialHist, len(ranges))
+	if err := parallel.For(ctx, len(ranges), workers, 1, func(r int) error {
+		seg := symbols[ranges[r][0]:ranges[r][1]]
 		// Size the count array to the largest dense symbol actually present
 		// so sparse alphabets (relative mode tops out near 400) do not pay
 		// for the full denseSyms range.
@@ -105,9 +107,9 @@ func BuildTableCtx(ctx context.Context, symbols []uint32, workers int) (*Table, 
 				h.rest[s]++
 			}
 		}
-		return h, nil
-	})
-	if err != nil {
+		partial[r] = h
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	merged := partial[0]

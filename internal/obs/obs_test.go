@@ -38,7 +38,7 @@ func TestCountersAndSpans(t *testing.T) {
 	if err := c.Do(StageEntropyEncode, 8, 1000, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if done := c.Dispatch("ForErr", 50, 4); done != nil {
+	if done := c.Dispatch("Pipeline", 50, 4); done != nil {
 		done()
 	}
 	s := c.Snapshot()

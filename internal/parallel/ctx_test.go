@@ -10,8 +10,8 @@ import (
 
 // countingCtx is a context whose Err() flips to context.Canceled after a
 // fixed number of Err() calls, making "cancellation arrives mid-dispatch"
-// deterministic regardless of scheduling: the Ctx* dispatchers poll Err()
-// at every grain boundary, so the k-th poll is the cancellation point.
+// deterministic regardless of scheduling: For polls Err() at every grain
+// boundary, so the k-th poll is the cancellation point.
 type countingCtx struct {
 	context.Context
 	calls     atomic.Int64
@@ -31,9 +31,10 @@ func (c *countingCtx) Err() error {
 	return nil
 }
 
+// A nil ctx never cancels.
 func TestCtxForErrNilCtxDelegates(t *testing.T) {
 	var ran atomic.Int64
-	if err := CtxForErr(nil, 100, 4, 8, func(i int) error {
+	if err := For(nil, 100, 4, 8, func(i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
@@ -48,7 +49,7 @@ func TestCtxForErrPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := CtxForErr(ctx, 100, 4, 8, func(i int) error { called = true; return nil })
+	err := For(ctx, 100, 4, 8, func(i int) error { called = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -60,7 +61,7 @@ func TestCtxForErrPreCancelled(t *testing.T) {
 func TestCtxForErrDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err := CtxForErr(ctx, 10, 2, 1, func(i int) error { return nil })
+	err := For(ctx, 10, 2, 1, func(i int) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -72,7 +73,7 @@ func TestCtxForErrMidFlightCancellationSerial(t *testing.T) {
 	// (iterations 0..3 with grain=2) run before cancellation lands.
 	ctx := newCountingCtx(3)
 	var ran atomic.Int64
-	err := CtxForErr(ctx, 100, 1, 2, func(i int) error { ran.Add(1); return nil })
+	err := For(ctx, 100, 1, 2, func(i int) error { ran.Add(1); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -84,7 +85,7 @@ func TestCtxForErrMidFlightCancellationSerial(t *testing.T) {
 func TestCtxForErrMidFlightCancellationParallel(t *testing.T) {
 	ctx := newCountingCtx(10)
 	var ran atomic.Int64
-	err := CtxForErr(ctx, 10_000, 4, 1, func(i int) error { ran.Add(1); return nil })
+	err := For(ctx, 10_000, 4, 1, func(i int) error { ran.Add(1); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -95,23 +96,27 @@ func TestCtxForErrMidFlightCancellationParallel(t *testing.T) {
 
 func TestCtxForErrBodyErrorBeatsCancellation(t *testing.T) {
 	// A loop-body failure is more specific than the caller's cancellation;
-	// when both happen the body error (earliest index) must win.
+	// when both happen the body error must win.
 	boom := errors.New("boom")
-	ctx := newCountingCtx(1 << 30) // never cancels on its own
-	err := CtxForErr(ctx, 100, 4, 1, func(i int) error {
-		if i == 7 {
-			return boom
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := For(ctx, 100, workers, 1, func(i int) error {
+			if i == 7 {
+				cancel()
+				return boom
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: want body error, got %v", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("want body error, got %v", err)
 	}
 }
 
 func TestCtxForErrEarliestErrorWins(t *testing.T) {
 	e3, e9 := errors.New("e3"), errors.New("e9")
-	err := CtxForErr(context.Background(), 100, 4, 1, func(i int) error {
+	err := For(context.Background(), 100, 4, 1, func(i int) error {
 		switch i {
 		case 3:
 			return e3
@@ -126,7 +131,7 @@ func TestCtxForErrEarliestErrorWins(t *testing.T) {
 }
 
 func TestCtxForErrPanicContained(t *testing.T) {
-	err := CtxForErr(context.Background(), 50, 4, 1, func(i int) error {
+	err := For(context.Background(), 50, 4, 1, func(i int) error {
 		if i == 13 {
 			panic("kaboom")
 		}
@@ -143,7 +148,7 @@ func TestCtxForErrPanicContained(t *testing.T) {
 
 func TestCtxForErrCompletesWithLiveCtx(t *testing.T) {
 	var seen [5000]atomic.Int32
-	if err := CtxForErr(context.Background(), len(seen), 8, 16, func(i int) error {
+	if err := For(context.Background(), len(seen), 8, 16, func(i int) error {
 		seen[i].Add(1)
 		return nil
 	}); err != nil {
@@ -156,10 +161,15 @@ func TestCtxForErrCompletesWithLiveCtx(t *testing.T) {
 	}
 }
 
+// The range tests run For over Ranges with one slot per range, the shape
+// of the per-range reductions (huffman's histogram, skeleton's critical
+// point gather).
+
 func TestCtxForChunksErrNilCtxDelegates(t *testing.T) {
 	var ran atomic.Int64
-	if err := CtxForChunksErr(nil, 100, 4, func(lo, hi int) error {
-		ran.Add(int64(hi - lo))
+	rs := Ranges(100, 4)
+	if err := For(nil, len(rs), 4, 1, func(r int) error {
+		ran.Add(int64(rs[r][1] - rs[r][0]))
 		return nil
 	}); err != nil {
 		t.Fatalf("nil ctx: %v", err)
@@ -173,7 +183,8 @@ func TestCtxForChunksErrPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := CtxForChunksErr(ctx, 100, 4, func(lo, hi int) error { called = true; return nil })
+	rs := Ranges(100, 4)
+	err := For(ctx, len(rs), 4, 1, func(r int) error { called = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -184,8 +195,9 @@ func TestCtxForChunksErrPreCancelled(t *testing.T) {
 
 func TestCtxForChunksErrCoversRange(t *testing.T) {
 	var seen [777]atomic.Int32
-	if err := CtxForChunksErr(context.Background(), len(seen), 5, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	rs := Ranges(len(seen), 5)
+	if err := For(context.Background(), len(rs), 5, 1, func(r int) error {
+		for i := rs[r][0]; i < rs[r][1]; i++ {
 			seen[i].Add(1)
 		}
 		return nil
@@ -201,8 +213,9 @@ func TestCtxForChunksErrCoversRange(t *testing.T) {
 
 func TestCtxForChunksErrBodyError(t *testing.T) {
 	boom := errors.New("boom")
-	err := CtxForChunksErr(context.Background(), 100, 4, func(lo, hi int) error {
-		if lo <= 50 && 50 < hi {
+	rs := Ranges(100, 4)
+	err := For(context.Background(), len(rs), 4, 1, func(r int) error {
+		if rs[r][0] <= 50 && 50 < rs[r][1] {
 			return boom
 		}
 		return nil
@@ -215,22 +228,29 @@ func TestCtxForChunksErrBodyError(t *testing.T) {
 func TestCtxReduceRangesErrCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := CtxReduceRangesErr(ctx, 1000, 8, 4, func(lo, hi int) (int, error) {
-		return hi - lo, nil
+	rs := Ranges(1000, 8)
+	out := make([]int, len(rs))
+	err := For(ctx, len(rs), 4, 1, func(r int) error {
+		out[r] = rs[r][1] - rs[r][0]
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if out != nil {
-		t.Error("partial results returned on cancellation")
+	for r, v := range out {
+		if v != 0 {
+			t.Fatalf("range %d computed on a cancelled context", r)
+		}
 	}
 }
 
 func TestCtxReduceRangesErrSumsWithLiveCtx(t *testing.T) {
-	out, err := CtxReduceRangesErr(context.Background(), 1000, 8, 4, func(lo, hi int) (int, error) {
-		return hi - lo, nil
-	})
-	if err != nil {
+	rs := Ranges(1000, 8)
+	out := make([]int, len(rs))
+	if err := For(context.Background(), len(rs), 4, 1, func(r int) error {
+		out[r] = rs[r][1] - rs[r][0]
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -252,7 +272,7 @@ func TestCtxDispatchersNoGoroutineLeakOnCancel(t *testing.T) {
 		var ran atomic.Int64
 		done := make(chan error, 1)
 		go func() {
-			done <- CtxForErr(ctx, 1_000_000, 4, 1, func(i int) error {
+			done <- For(ctx, 1_000_000, 4, 1, func(i int) error {
 				ran.Add(1)
 				return nil
 			})
@@ -262,7 +282,7 @@ func TestCtxDispatchersNoGoroutineLeakOnCancel(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		before := ran.Load()
-		// After CtxForErr returns, no worker may still be running the body.
+		// After For returns, no worker may still be running the body.
 		time.Sleep(100 * time.Microsecond)
 		if after := ran.Load(); after != before {
 			t.Fatalf("trial %d: body still running after return (%d -> %d)", trial, before, after)

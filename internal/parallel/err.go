@@ -7,12 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a panic recovered from a loop body run by one of the
-// error-propagating dispatch variants. A panic inside a plain goroutine
-// kills the whole process — no recover in the caller can cross the
-// goroutine boundary — so the *Err dispatchers catch it at the goroutine
-// root and hand it back as an error carrying the panic value and the
-// worker's stack at the point of failure.
+// PanicError is a panic recovered from a loop body run by For or Pipeline.
+// A panic inside a plain goroutine kills the whole process — no recover in
+// the caller can cross the goroutine boundary — so the dispatchers catch
+// it at the goroutine root and hand it back as an error carrying the panic
+// value and the worker's stack at the point of failure.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -38,16 +37,6 @@ func call(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// callRange runs fn(lo, hi) converting a panic into a *PanicError.
-func callRange(fn func(lo, hi int) error, lo, hi int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return fn(lo, hi)
-}
-
 // firstErr tracks the failure with the smallest iteration index across
 // workers, so the reported error is the earliest violation in stream
 // order rather than whichever worker lost the scheduling race.
@@ -65,125 +54,4 @@ func (f *firstErr) record(i int, err error) {
 	}
 	f.mu.Unlock()
 	f.stop.Store(true)
-}
-
-// ForChunksErr is ForChunks with error propagation and panic containment:
-// fn runs once per contiguous range on its own goroutine, panics are
-// recovered into *PanicError, every started range is drained (runs to
-// completion) before the call returns, and the error of the
-// lowest-numbered failing range is returned.
-func ForChunksErr(n, workers int, fn func(lo, hi int) error) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if done := beginDispatch("ForChunksErr", n, 1); done != nil {
-			defer done()
-		}
-		if n > 0 {
-			return callRange(fn, 0, n)
-		}
-		return nil
-	}
-	if done := beginDispatch("ForChunksErr", n, workers); done != nil {
-		defer done()
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = callRange(fn, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForErr is For with error propagation and panic containment: iterations
-// run under dynamic chunked scheduling, a panic in any iteration is
-// recovered into *PanicError, the first failure stops workers from
-// claiming further chunks (in-flight chunks drain), all goroutines are
-// joined before returning, and the failure with the smallest iteration
-// index among those that ran is returned. Like For, the pool is capped at
-// ceil(n/grain) so small loops never over-spawn.
-func ForErr(n, workers, grain int, fn func(i int) error) error {
-	workers = Workers(workers)
-	if grain < 1 {
-		grain = 1
-	}
-	if max := (n + grain - 1) / grain; workers > max {
-		workers = max
-	}
-	if workers <= 1 || n <= grain {
-		if done := beginDispatch("ForErr", n, 1); done != nil {
-			defer done()
-		}
-		for i := 0; i < n; i++ {
-			if err := call(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if done := beginDispatch("ForErr", n, workers); done != nil {
-		defer done()
-	}
-	var next atomic.Int64
-	var fe firstErr
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !fe.stop.Load() {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if err := call(fn, i); err != nil {
-						fe.record(i, err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return fe.err
-}
-
-// ReduceRangesErr is ReduceRanges with error propagation and panic
-// containment: per-range results are computed concurrently and returned in
-// range order, unless any range fails, in which case the earliest failure
-// is returned with a nil slice.
-func ReduceRangesErr[T any](n, parts, workers int, fn func(lo, hi int) (T, error)) ([]T, error) {
-	ranges := Ranges(n, parts)
-	out := make([]T, len(ranges))
-	err := ForErr(len(ranges), workers, 1, func(i int) error {
-		var err error
-		out[i], err = fn(ranges[i][0], ranges[i][1])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 func TestForErrPropagatesFirstError(t *testing.T) {
 	want := errors.New("boom")
 	for _, workers := range []int{1, 2, 4, 8} {
-		err := ForErr(1000, workers, 8, func(i int) error {
+		err := For(nil, 1000, workers, 8, func(i int) error {
 			if i == 137 || i == 700 {
 				return fmt.Errorf("at %d: %w", i, want)
 			}
@@ -28,7 +28,7 @@ func TestForErrPropagatesFirstError(t *testing.T) {
 func TestForErrReportsSmallestIndex(t *testing.T) {
 	// With a single worker the scan is in order, so the earliest failing
 	// iteration must be the one reported.
-	err := ForErr(100, 1, 1, func(i int) error {
+	err := For(nil, 100, 1, 1, func(i int) error {
 		if i >= 40 {
 			return fmt.Errorf("fail at %d", i)
 		}
@@ -41,7 +41,7 @@ func TestForErrReportsSmallestIndex(t *testing.T) {
 
 func TestForErrStopsClaimingAfterFailure(t *testing.T) {
 	var ran atomic.Int64
-	err := ForErr(1_000_000, 4, 1, func(i int) error {
+	err := For(nil, 1_000_000, 4, 1, func(i int) error {
 		ran.Add(1)
 		return errors.New("immediate")
 	})
@@ -58,8 +58,9 @@ func TestForErrStopsClaimingAfterFailure(t *testing.T) {
 func TestForChunksErrNilOnSuccess(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var sum atomic.Int64
-		if err := ForChunksErr(1000, workers, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
+		rs := Ranges(1000, workers)
+		if err := For(nil, len(rs), workers, 1, func(r int) error {
+			for i := rs[r][0]; i < rs[r][1]; i++ {
 				sum.Add(int64(i))
 			}
 			return nil
@@ -73,8 +74,9 @@ func TestForChunksErrNilOnSuccess(t *testing.T) {
 }
 
 func TestForChunksErrReturnsLowestChunkError(t *testing.T) {
-	err := ForChunksErr(100, 4, func(lo, hi int) error {
-		if lo >= 25 {
+	rs := Ranges(100, 4)
+	err := For(nil, len(rs), 4, 1, func(r int) error {
+		if lo := rs[r][0]; lo >= 25 {
 			return fmt.Errorf("chunk at %d", lo)
 		}
 		return nil
@@ -85,10 +87,12 @@ func TestForChunksErrReturnsLowestChunkError(t *testing.T) {
 }
 
 func TestReduceRangesErr(t *testing.T) {
-	out, err := ReduceRangesErr(100, 7, 4, func(lo, hi int) (int, error) {
-		return hi - lo, nil
-	})
-	if err != nil {
+	rs := Ranges(100, 7)
+	out := make([]int, len(rs))
+	if err := For(nil, len(rs), 4, 1, func(r int) error {
+		out[r] = rs[r][1] - rs[r][0]
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -98,20 +102,19 @@ func TestReduceRangesErr(t *testing.T) {
 	if total != 100 {
 		t.Fatalf("ranges cover %d of 100", total)
 	}
-	_, err = ReduceRangesErr(100, 7, 4, func(lo, hi int) (int, error) {
-		if lo > 50 {
-			return 0, errors.New("range error")
+	if err := For(nil, len(rs), 4, 1, func(r int) error {
+		if rs[r][0] > 50 {
+			return errors.New("range error")
 		}
-		return 0, nil
-	})
-	if err == nil {
+		return nil
+	}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestPanicContainedSerialAndParallel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForErr(100, workers, 1, func(i int) error {
+		err := For(nil, 100, workers, 1, func(i int) error {
 			if i == 42 {
 				panic("decode invariant violated")
 			}
@@ -128,15 +131,19 @@ func TestPanicContainedSerialAndParallel(t *testing.T) {
 			t.Fatalf("stack not captured: %q", pe.Stack)
 		}
 	}
-	err := ForChunksErr(64, 4, func(lo, hi int) error {
-		if lo == 0 {
+	// A typed panic value survives containment on the serial path too.
+	err := For(nil, 64, 1, 64, func(i int) error {
+		if i == 0 {
 			panic(errors.New("typed panic value"))
 		}
 		return nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("ForChunksErr: got %v, want *PanicError", err)
+		t.Fatalf("serial: got %v, want *PanicError", err)
+	}
+	if _, ok := pe.Value.(error); !ok {
+		t.Fatalf("panic value %T, want the error it was raised with", pe.Value)
 	}
 }
 
@@ -163,7 +170,7 @@ func goroutineCount(t *testing.T) int {
 func TestConcurrentPanicsOneErrorNoLeaks(t *testing.T) {
 	before := goroutineCount(t)
 	for round := 0; round < 20; round++ {
-		err := ForErr(10_000, 8, 4, func(i int) error {
+		err := For(nil, 10_000, 8, 4, func(i int) error {
 			if i%1000 == 7 {
 				// Several workers hit a panicking iteration concurrently.
 				panic(fmt.Sprintf("worker panic at %d", i))
@@ -174,25 +181,33 @@ func TestConcurrentPanicsOneErrorNoLeaks(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("round %d: got %v, want exactly one *PanicError", round, err)
 		}
-		errs := 0
-		if err != nil {
-			errs++
-		}
-		if errs != 1 {
-			t.Fatalf("round %d: %d errors surfaced", round, errs)
-		}
 	}
+	rs := Ranges(1024, 8)
 	for round := 0; round < 20; round++ {
-		err := ForChunksErr(1024, 8, func(lo, hi int) error {
-			panic("every chunk panics")
+		err := For(nil, len(rs), 8, 1, func(r int) error {
+			panic("every range panics")
 		})
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("chunks round %d: got %v", round, err)
+			t.Fatalf("ranges round %d: got %v", round, err)
 		}
 	}
-	after := goroutineCount(t)
-	if after > before {
+	if after := goroutinesSettle(before); after > before {
 		t.Fatalf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// goroutinesSettle polls until at most want goroutines remain or a second
+// has passed, and returns the last count. A worker that has signalled its
+// WaitGroup may still be unwinding when For returns; it is gone a moment
+// later, while a leaked one never is.
+func goroutinesSettle(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -31,9 +33,9 @@ func withRecorder(t *testing.T) *dispatchRecorder {
 	return r
 }
 
-// Regression for the pool over-spawn: For(10, 256, 1, fn) used to launch
-// 256 goroutines for 10 single-item chunks. The pool must be capped at
-// ceil(n/grain) in every dynamic dispatcher.
+// Regression for the pool over-spawn: For(ctx, 10, 256, 1, fn) used to
+// launch 256 goroutines for 10 single-item chunks. The pool must be capped
+// at ceil(n/grain).
 func TestForCapsPoolAtChunkCount(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -50,7 +52,9 @@ func TestForCapsPoolAtChunkCount(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := withRecorder(t)
 			var visited atomic.Int64
-			For(tc.n, tc.workers, tc.grain, func(i int) { visited.Add(1) })
+			if err := For(nil, tc.n, tc.workers, tc.grain, func(i int) error { visited.Add(1); return nil }); err != nil {
+				t.Fatal(err)
+			}
 			if got := visited.Load(); got != int64(tc.n) {
 				t.Fatalf("visited %d of %d iterations", got, tc.n)
 			}
@@ -65,32 +69,44 @@ func TestForCapsPoolAtChunkCount(t *testing.T) {
 	}
 }
 
+// The pool cap holds with a live ctx and a failing body as well.
 func TestForErrCapsPoolAtChunkCount(t *testing.T) {
 	rec := withRecorder(t)
 	var visited atomic.Int64
-	if err := ForErr(10, 256, 1, func(i int) error { visited.Add(1); return nil }); err != nil {
-		t.Fatal(err)
+	err := For(context.Background(), 10, 256, 1, func(i int) error {
+		visited.Add(1)
+		if i == 9 {
+			return errors.New("last iteration fails")
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("expected the body error")
 	}
 	if visited.Load() != 10 {
 		t.Fatalf("visited %d of 10 iterations", visited.Load())
 	}
 	if len(rec.workers) != 1 || rec.workers[0] != 10 {
-		t.Fatalf("ForErr(10, 256, 1) reported pool %v, want [10]", rec.workers)
+		t.Fatalf("For(10, 256, 1) reported pool %v, want [10]", rec.workers)
 	}
 }
 
 func TestReduceRangesErrCapsPool(t *testing.T) {
 	rec := withRecorder(t)
-	out, err := ReduceRangesErr(6, 6, 512, func(lo, hi int) (int, error) { return hi - lo, nil })
-	if err != nil {
+	rs := Ranges(6, 6)
+	out := make([]int, len(rs))
+	if err := For(nil, len(rs), 512, 1, func(r int) error {
+		out[r] = rs[r][1] - rs[r][0]
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 6 {
-		t.Fatalf("got %d ranges, want 6", len(out))
+	if len(rs) != 6 {
+		t.Fatalf("got %d ranges, want 6", len(rs))
 	}
-	// 6 ranges dispatched through ForErr with grain 1: pool of 6, not 512.
+	// 6 ranges dispatched with grain 1: pool of 6, not 512.
 	if len(rec.workers) != 1 || rec.workers[0] != 6 {
-		t.Fatalf("ReduceRangesErr reported pool %v, want [6]", rec.workers)
+		t.Fatalf("For over Ranges(6, 6) reported pool %v, want [6]", rec.workers)
 	}
 }
 
@@ -104,9 +120,10 @@ func TestForPeakGoroutines(t *testing.T) {
 	var entered atomic.Int64
 	done := make(chan struct{})
 	go func() {
-		For(n, workers, grain, func(i int) {
+		_ = For(nil, n, workers, grain, func(i int) error {
 			entered.Add(1)
 			<-gate
+			return nil
 		})
 		close(done)
 	}()
@@ -129,13 +146,14 @@ func TestForPeakGoroutines(t *testing.T) {
 	}
 }
 
-// The hook sees the serial fast path as a one-worker dispatch.
+// The hook sees the serial fast path as a one-worker dispatch, whether
+// one worker was asked for or the loop fits in a single grain.
 func TestHookSerialPath(t *testing.T) {
 	rec := withRecorder(t)
-	For(3, 1, 1, func(i int) {})
-	ForChunks(4, 1, func(lo, hi int) {})
-	if err := ForChunksErr(4, 1, func(lo, hi int) error { return nil }); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ n, workers, grain int }{{3, 1, 1}, {4, 8, 4}, {4, 1, 1}} {
+		if err := For(nil, c.n, c.workers, c.grain, func(i int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, w := range rec.workers {
 		if w != 1 {

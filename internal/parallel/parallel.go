@@ -1,10 +1,12 @@
 // Package parallel provides the shared-memory work distribution primitives
-// TspSZ uses in place of OpenMP (§VII): static range splitting for
-// deterministic block decomposition and dynamic chunk scheduling for
-// load-imbalanced loops such as separatrix tracing.
+// TspSZ uses in place of OpenMP (§VII): one loop dispatcher, For, with
+// dynamic chunk scheduling for load-imbalanced loops such as separatrix
+// tracing, plus Ranges for deterministic block decomposition and Pipeline
+// for the ordered streaming sweep.
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,49 +21,29 @@ func Workers(n int) int {
 	return n
 }
 
-// ForChunks splits [0, n) into at most `workers` contiguous ranges of
-// near-equal size and runs fn(lo, hi) for each on its own goroutine. Ranges
-// are deterministic for a given (n, workers) pair, which the block-parallel
-// compressor relies on.
-func ForChunks(n, workers int, fn func(lo, hi int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
+// For runs fn(i) for every i in [0, n) on up to `workers` goroutines with
+// dynamic chunked scheduling (chunk size grain). The pool is capped at
+// ceil(n/grain), the number of chunks there are to claim, so a small loop
+// never launches workers that could only spin and exit.
+//
+// A panic in any iteration is recovered into a *PanicError. The first
+// failure stops workers from claiming further chunks; in-flight chunks
+// drain, every goroutine is joined before For returns, and the failure
+// with the smallest iteration index among those that ran is returned.
+//
+// Workers re-check ctx.Err() before claiming each chunk, so a cancelled or
+// expired context stops new work promptly without killing an iteration
+// mid-flight. The returned error is the earliest loop-body failure if any
+// iteration failed, otherwise the context's error verbatim when the loop
+// stopped early; entry points classify it via streamerr. A nil ctx never
+// cancels.
+func For(ctx context.Context, n, workers, grain int, fn func(i int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if workers <= 1 {
-		if done := beginDispatch("ForChunks", n, 1); done != nil {
-			defer done()
-		}
-		if n > 0 {
-			fn(0, n)
-		}
-		return
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if done := beginDispatch("ForChunks", n, workers); done != nil {
-		defer done()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// For runs fn(i) for every i in [0, n) using up to `workers` goroutines
-// with dynamic chunked scheduling (chunk size grain). Use for loops whose
-// iterations have highly variable cost, e.g. streamline tracing. The pool
-// is capped at ceil(n/grain) — the number of chunks there are to claim —
-// so a small loop never launches workers that could only spin and exit.
-func For(n, workers, grain int, fn func(i int)) {
 	workers = Workers(workers)
 	if grain < 1 {
 		grain = 1
@@ -73,21 +55,38 @@ func For(n, workers, grain int, fn func(i int)) {
 		if done := beginDispatch("For", n, 1); done != nil {
 			defer done()
 		}
-		for i := 0; i < n; i++ {
-			fn(i)
+		for lo := 0; lo < n; lo += grain {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			hi := lo + grain
+			if hi > n {
+				hi = n
+			}
+			for i := lo; i < hi; i++ {
+				if err := call(fn, i); err != nil {
+					return err
+				}
+			}
 		}
-		return
+		return nil
 	}
 	if done := beginDispatch("For", n, workers); done != nil {
 		defer done()
 	}
 	var next atomic.Int64
+	var fe firstErr
+	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !fe.stop.Load() {
+				if ctx.Err() != nil {
+					cancelled.Store(true)
+					return
+				}
 				lo := int(next.Add(int64(grain))) - grain
 				if lo >= n {
 					return
@@ -97,31 +96,30 @@ func For(n, workers, grain int, fn func(i int)) {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					fn(i)
+					if err := call(fn, i); err != nil {
+						fe.record(i, err)
+						return
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if fe.err != nil {
+		return fe.err
+	}
+	if cancelled.Load() {
+		return ctx.Err()
+	}
+	return nil
 }
 
-// ReduceRanges splits [0, n) into the deterministic Ranges(n, parts)
-// boundaries, computes fn(lo, hi) for each concurrently on up to `workers`
-// goroutines, and returns the per-range results in range order. It is the
-// map half of a parallel reduction: callers merge the returned slice
-// serially (e.g. per-worker histogram tables summed into one), which keeps
-// the merged result independent of scheduling.
-func ReduceRanges[T any](n, parts, workers int, fn func(lo, hi int) T) []T {
-	ranges := Ranges(n, parts)
-	out := make([]T, len(ranges))
-	For(len(ranges), workers, 1, func(i int) {
-		out[i] = fn(ranges[i][0], ranges[i][1])
-	})
-	return out
-}
-
-// Ranges returns the deterministic chunk boundaries ForChunks would use:
-// a slice of [lo, hi) pairs covering [0, n).
+// Ranges splits [0, n) into at most `workers` contiguous ranges of
+// near-equal size and returns them as [lo, hi) pairs in order. The
+// partition is deterministic for a given (n, workers) pair, which the
+// block-parallel compressor and the per-range reductions rely on: For over
+// the ranges computes one partial result per range, and the caller merges
+// them serially in range order.
 func Ranges(n, workers int) [][2]int {
 	workers = Workers(workers)
 	if workers > n {

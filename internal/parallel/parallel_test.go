@@ -1,5 +1,10 @@
 package parallel
 
+// The dispatcher tests in this package keep the names of the dispatchers
+// For replaced: a ForErr or CtxForErr test pins its behaviour on For, and
+// a ForChunks or ReduceRanges test pins it on For over Ranges with one
+// result slot per range, the idiom that replaced them.
+
 import (
 	"sync/atomic"
 	"testing"
@@ -11,11 +16,15 @@ func TestForChunksCoversRange(t *testing.T) {
 		n := int(nRaw % 200)
 		w := int(wRaw%8) + 1
 		seen := make([]atomic.Int32, n)
-		ForChunks(n, w, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		rs := Ranges(n, w)
+		if err := For(nil, len(rs), w, 1, func(r int) error {
+			for i := rs[r][0]; i < rs[r][1]; i++ {
 				seen[i].Add(1)
 			}
-		})
+			return nil
+		}); err != nil {
+			return false
+		}
 		for i := range seen {
 			if seen[i].Load() != 1 {
 				return false
@@ -34,7 +43,9 @@ func TestForCoversRangeOnce(t *testing.T) {
 		w := int(wRaw%8) + 1
 		g := int(gRaw%64) + 1
 		seen := make([]atomic.Int32, n)
-		For(n, w, g, func(i int) { seen[i].Add(1) })
+		if err := For(nil, n, w, g, func(i int) error { seen[i].Add(1); return nil }); err != nil {
+			return false
+		}
 		for i := range seen {
 			if seen[i].Load() != 1 {
 				return false
@@ -47,15 +58,20 @@ func TestForCoversRangeOnce(t *testing.T) {
 	}
 }
 
+// Ranges is a gap-free, in-order partition of [0, n) into at most
+// `workers` non-empty ranges.
 func TestRangesMatchForChunks(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100} {
 		for _, w := range []int{1, 2, 3, 16} {
 			rs := Ranges(n, w)
+			if len(rs) > w {
+				t.Fatalf("n=%d w=%d: %d ranges", n, w, len(rs))
+			}
 			covered := 0
 			prev := 0
 			for _, r := range rs {
-				if r[0] != prev {
-					t.Fatalf("n=%d w=%d: gap before %v", n, w, r)
+				if r[0] != prev || r[1] <= r[0] {
+					t.Fatalf("n=%d w=%d: gap or empty range at %v", n, w, r)
 				}
 				covered += r[1] - r[0]
 				prev = r[1]
@@ -78,8 +94,14 @@ func TestWorkersDefault(t *testing.T) {
 
 func TestZeroN(t *testing.T) {
 	called := false
-	ForChunks(0, 4, func(lo, hi int) { called = true })
-	For(0, 4, 8, func(i int) { called = true })
+	for _, w := range []int{1, 4} {
+		if err := For(nil, 0, w, 8, func(i int) error { called = true; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs := Ranges(0, 4); len(rs) != 0 {
+		t.Errorf("Ranges(0, 4) = %v, want none", rs)
+	}
 	if called {
 		t.Error("callbacks invoked for n=0")
 	}

@@ -32,9 +32,9 @@ type pipeItem[T any] struct {
 // what bounds the streaming compressor's working set: a fetched slab
 // cannot be more than `window` regions ahead of the serial consumer.
 //
-// Error semantics match the *Err family: panics in any stage are contained
-// as *PanicError, every started item drains before the call returns, and
-// the failure with the smallest index among those observed is returned.
+// Error semantics match For's: panics in any stage are contained as
+// *PanicError, every started item drains before the call returns, and the
+// failure with the smallest index among those observed is returned.
 // Items preceding the first failure in index order are emitted; after a
 // failure (or cancellation) no further emits run. ctx is checked before
 // each dispatch; a nil ctx never cancels. The returned error is the

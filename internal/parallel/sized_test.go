@@ -45,10 +45,10 @@ func TestSizedWorkersClampsDispatch(t *testing.T) {
 
 	// A 16-chunk section whose payload is far below one worker's worth.
 	w := SizedWorkers(8, 16, 4<<10, 64<<10)
-	_ = ForErr(16, w, 1, func(i int) error { return nil })
+	_ = For(nil, 16, w, 1, func(i int) error { return nil })
 	// The same section with a payload that keeps every worker busy.
 	w = SizedWorkers(8, 16, 2<<20, 64<<10)
-	_ = ForErr(16, w, 1, func(i int) error { return nil })
+	_ = For(nil, 16, w, 1, func(i int) error { return nil })
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -61,7 +61,7 @@ func BasinsCapture(f *field.Field, cps []critical.Point, dir int, par integrate.
 		}
 	}
 	loc := integrate.NewCPLocator(cps)
-	parallel.For(len(seeds), workers, 64, func(si int) {
+	if err := parallel.For(nil, len(seeds), workers, 64, func(si int) error {
 		idx := seeds[si]
 		seed := f.Grid.VertexPosition(idx)
 		tr := integrate.Streamline(f, seed, dir, par, loc, nil)
@@ -71,7 +71,11 @@ func BasinsCapture(f *field.Field, cps []critical.Point, dir int, par integrate.
 		case capture > 0 && len(tr.Points) > 0:
 			labels[idx] = nearestCP(cps, tr.Points[len(tr.Points)-1], capture)
 		}
-	})
+		return nil
+	}); err != nil {
+		// Nothing cancels a nil ctx: err is a contained worker panic.
+		panic(err)
+	}
 	return labels, seeds
 }
 

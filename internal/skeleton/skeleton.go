@@ -43,13 +43,12 @@ func ExtractWith(f *field.Field, cps []critical.Point, par integrate.Params) *Sk
 // strategy of §VII: cells are partitioned across workers for critical point
 // extraction and saddles are dynamically scheduled for tracing.
 func ExtractParallel(f *field.Field, par integrate.Params, workers int) *Skeleton {
-	cps := extractCPsParallel(f, workers)
-	return &Skeleton{CPs: cps, Seps: traceParallel(f, cps, par, workers)}
+	return must(ExtractParallelCtx(nil, f, par, workers))
 }
 
 // ExtractWithParallel is ExtractWith with parallel tracing.
 func ExtractWithParallel(f *field.Field, cps []critical.Point, par integrate.Params, workers int) *Skeleton {
-	return &Skeleton{CPs: cps, Seps: traceParallel(f, cps, par, workers)}
+	return must(ExtractWithParallelCtx(nil, f, cps, par, workers))
 }
 
 // ExtractParallelCtx is ExtractParallel with cancellation: both the cell
@@ -64,78 +63,70 @@ func ExtractParallelCtx(ctx context.Context, f *field.Field, par integrate.Param
 	return ExtractWithParallelCtx(ctx, f, cps, par, workers)
 }
 
-// ExtractWithParallelCtx is ExtractWithParallel with cancellation.
+// ExtractWithParallelCtx is ExtractWithParallel with cancellation. Saddles
+// are dynamically scheduled and their separatrices gathered in saddle
+// order.
 func ExtractWithParallelCtx(ctx context.Context, f *field.Field, cps []critical.Point, par integrate.Params, workers int) (*Skeleton, error) {
-	seps, err := traceParallelCtx(ctx, f, cps, par, workers)
-	if err != nil {
+	saddles := make([]int, 0)
+	for i, cp := range cps {
+		if cp.Type == critical.Saddle {
+			saddles = append(saddles, i)
+		}
+	}
+	perSaddle := make([][]integrate.Trajectory, len(saddles))
+	loc := integrate.NewCPLocator(cps) // shared, read-only after construction
+	if err := parallel.For(ctx, len(saddles), workers, 1, func(i int) error {
+		cp := cps[saddles[i]]
+		seeds, dirs, seedIdx := integrate.SeparatrixSeeds(cp, par.EpsP)
+		for si := range seeds {
+			tr := integrate.Streamline(f, seeds[si], dirs[si], par, loc, nil)
+			tr.Saddle = saddles[i]
+			tr.SeedIdx = seedIdx[si]
+			perSaddle[i] = append(perSaddle[i], tr)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return &Skeleton{CPs: cps, Seps: seps}, nil
+	sk := &Skeleton{CPs: cps}
+	for _, trs := range perSaddle {
+		sk.Seps = append(sk.Seps, trs...)
+	}
+	return sk, nil
 }
 
 // ExtractCPsParallel extracts only the critical points, cells partitioned
 // across workers, in the same deterministic order as critical.Extract.
 func ExtractCPsParallel(f *field.Field, workers int) []critical.Point {
-	return extractCPsParallel(f, workers)
-}
-
-// ExtractCPsParallelRobust is ExtractCPsParallel with cell membership
-// decided by the fixed-point Simulation-of-Simplicity predicates: the
-// field is quantized once, then the read-only FixedField is shared by all
-// extraction workers. Results are deterministic and worker-count
-// independent, like the numerical path.
-func ExtractCPsParallelRobust(f *field.Field, workers int) []critical.Point {
-	fx := critical.NewFixedField(f)
-	return gatherCPs(f, workers, func(lo, hi int) []critical.Point {
-		return critical.ExtractSoSFixedRange(f, fx, lo, hi)
-	})
+	return must(ExtractCPsParallelCtx(nil, f, workers))
 }
 
 // ExtractCPsParallelCtx is ExtractCPsParallel with cancellation.
 func ExtractCPsParallelCtx(ctx context.Context, f *field.Field, workers int) ([]critical.Point, error) {
-	return gatherCPsCtx(ctx, f, workers, func(lo, hi int) []critical.Point {
+	return gatherCPs(ctx, f, workers, func(lo, hi int) []critical.Point {
 		return critical.ExtractRange(f, lo, hi)
 	})
 }
 
-// ExtractCPsParallelRobustCtx is ExtractCPsParallelRobust with
-// cancellation.
+// ExtractCPsParallelRobustCtx is ExtractCPsParallelCtx with cell
+// membership decided by the fixed-point Simulation-of-Simplicity
+// predicates: the field is quantized once, then the read-only FixedField
+// is shared by all extraction workers. Results are deterministic and
+// worker-count independent, like the numerical path.
 func ExtractCPsParallelRobustCtx(ctx context.Context, f *field.Field, workers int) ([]critical.Point, error) {
 	fx := critical.NewFixedField(f)
-	return gatherCPsCtx(ctx, f, workers, func(lo, hi int) []critical.Point {
+	return gatherCPs(ctx, f, workers, func(lo, hi int) []critical.Point {
 		return critical.ExtractSoSFixedRange(f, fx, lo, hi)
 	})
 }
 
-func extractCPsParallel(f *field.Field, workers int) []critical.Point {
-	return gatherCPs(f, workers, func(lo, hi int) []critical.Point {
-		return critical.ExtractRange(f, lo, hi)
-	})
-}
-
-func gatherCPs(f *field.Field, workers int, extract func(lo, hi int) []critical.Point) []critical.Point {
-	nc := f.Grid.NumCells()
-	ranges := parallel.Ranges(nc, workers)
+// gatherCPs runs extract on one dispatcher task per deterministic cell
+// range and concatenates the results in range order, matching
+// critical.Extract exactly.
+func gatherCPs(ctx context.Context, f *field.Field, workers int, extract func(lo, hi int) []critical.Point) ([]critical.Point, error) {
+	ranges := parallel.Ranges(f.Grid.NumCells(), workers)
 	results := make([][]critical.Point, len(ranges))
-	// One dispatcher task per deterministic cell range; results are
-	// concatenated in range order, matching critical.Extract exactly.
-	parallel.For(len(ranges), workers, 1, func(i int) {
-		results[i] = extract(ranges[i][0], ranges[i][1])
-	})
-	var out []critical.Point
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
-}
-
-// gatherCPsCtx is gatherCPs under a cancellable dispatcher; the ctx-free
-// path stays on parallel.For so its panic behavior is unchanged.
-func gatherCPsCtx(ctx context.Context, f *field.Field, workers int, extract func(lo, hi int) []critical.Point) ([]critical.Point, error) {
-	nc := f.Grid.NumCells()
-	ranges := parallel.Ranges(nc, workers)
-	results := make([][]critical.Point, len(ranges))
-	if err := parallel.CtxForErr(ctx, len(ranges), workers, 1, func(i int) error {
+	if err := parallel.For(ctx, len(ranges), workers, 1, func(i int) error {
 		results[i] = extract(ranges[i][0], ranges[i][1])
 		return nil
 	}); err != nil {
@@ -148,60 +139,14 @@ func gatherCPsCtx(ctx context.Context, f *field.Field, workers int, extract func
 	return out, nil
 }
 
-func traceParallel(f *field.Field, cps []critical.Point, par integrate.Params, workers int) []integrate.Trajectory {
-	saddles := make([]int, 0)
-	for i, cp := range cps {
-		if cp.Type == critical.Saddle {
-			saddles = append(saddles, i)
-		}
+// must unwraps the result of a nil-ctx call. Nothing can cancel it, so its
+// only possible error is a worker panic that parallel.For contained; must
+// re-raises that *parallel.PanicError on the caller's goroutine.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	perSaddle := make([][]integrate.Trajectory, len(saddles))
-	loc := integrate.NewCPLocator(cps) // shared, read-only after construction
-	parallel.For(len(saddles), workers, 1, func(i int) {
-		cp := cps[saddles[i]]
-		seeds, dirs, seedIdx := integrate.SeparatrixSeeds(cp, par.EpsP)
-		for si := range seeds {
-			tr := integrate.Streamline(f, seeds[si], dirs[si], par, loc, nil)
-			tr.Saddle = saddles[i]
-			tr.SeedIdx = seedIdx[si]
-			perSaddle[i] = append(perSaddle[i], tr)
-		}
-	})
-	var out []integrate.Trajectory
-	for _, trs := range perSaddle {
-		out = append(out, trs...)
-	}
-	return out
-}
-
-// traceParallelCtx is traceParallel under a cancellable dispatcher.
-func traceParallelCtx(ctx context.Context, f *field.Field, cps []critical.Point, par integrate.Params, workers int) ([]integrate.Trajectory, error) {
-	saddles := make([]int, 0)
-	for i, cp := range cps {
-		if cp.Type == critical.Saddle {
-			saddles = append(saddles, i)
-		}
-	}
-	perSaddle := make([][]integrate.Trajectory, len(saddles))
-	loc := integrate.NewCPLocator(cps) // shared, read-only after construction
-	if err := parallel.CtxForErr(ctx, len(saddles), workers, 1, func(i int) error {
-		cp := cps[saddles[i]]
-		seeds, dirs, seedIdx := integrate.SeparatrixSeeds(cp, par.EpsP)
-		for si := range seeds {
-			tr := integrate.Streamline(f, seeds[si], dirs[si], par, loc, nil)
-			tr.Saddle = saddles[i]
-			tr.SeedIdx = seedIdx[si]
-			perSaddle[i] = append(perSaddle[i], tr)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var out []integrate.Trajectory
-	for _, trs := range perSaddle {
-		out = append(out, trs...)
-	}
-	return out, nil
+	return v
 }
 
 // CheckTraj implements check_traj from Algorithms 3 and 4: trajectories
@@ -234,90 +179,17 @@ type Stats struct {
 }
 
 // Compare evaluates the separatrices of a decompressed skeleton dec against
-// the original orig. Both must have been traced from the same critical
-// point set so that separatrices correspond by index (use ExtractWith for
-// dec). tau is the Fréchet tolerance τ_t.
+// the original orig on one worker. Both must have been traced from the same
+// critical point set so that separatrices correspond by index (use
+// ExtractWith for dec). tau is the Fréchet tolerance τ_t.
 func Compare(orig, dec *Skeleton, tau float64) Stats {
-	n := len(orig.Seps)
-	if len(dec.Seps) < n {
-		n = len(dec.Seps)
-	}
-	st := Stats{Total: n, MinF: math.Inf(1)}
-	if n == 0 {
-		st.MinF = 0
-		return st
-	}
-	sum, sumSq := 0.0, 0.0
-	mismatch := len(orig.Seps) != len(dec.Seps)
-	for i := 0; i < n; i++ {
-		a, b := &orig.Seps[i], &dec.Seps[i]
-		d := frechet.Distance(a.Points, b.Points)
-		if !CheckTraj(a, b, tau) {
-			st.Incorrect++
-		}
-		if d < st.MinF {
-			st.MinF = d
-		}
-		if d > st.MaxF {
-			st.MaxF = d
-		}
-		sum += d
-		sumSq += d * d
-	}
-	if mismatch {
-		st.Incorrect += abs(len(orig.Seps) - len(dec.Seps))
-	}
-	st.MeanF = sum / float64(n)
-	variance := sumSq/float64(n) - st.MeanF*st.MeanF
-	if variance > 0 {
-		st.StdF = math.Sqrt(variance)
-	}
-	return st
+	return CompareParallel(orig, dec, tau, 1)
 }
 
 // CompareParallel is Compare with the per-pair Fréchet computations spread
 // across workers.
 func CompareParallel(orig, dec *Skeleton, tau float64, workers int) Stats {
-	n := len(orig.Seps)
-	if len(dec.Seps) < n {
-		n = len(dec.Seps)
-	}
-	st := Stats{Total: n, MinF: math.Inf(1)}
-	if n == 0 {
-		st.MinF = 0
-		return st
-	}
-	dists := make([]float64, n)
-	bad := make([]bool, n)
-	parallel.For(n, workers, 4, func(i int) {
-		a, b := &orig.Seps[i], &dec.Seps[i]
-		dists[i] = frechet.Distance(a.Points, b.Points)
-		bad[i] = !CheckTraj(a, b, tau)
-	})
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		if bad[i] {
-			st.Incorrect++
-		}
-		d := dists[i]
-		if d < st.MinF {
-			st.MinF = d
-		}
-		if d > st.MaxF {
-			st.MaxF = d
-		}
-		sum += d
-		sumSq += d * d
-	}
-	if len(orig.Seps) != len(dec.Seps) {
-		st.Incorrect += abs(len(orig.Seps) - len(dec.Seps))
-	}
-	st.MeanF = sum / float64(n)
-	variance := sumSq/float64(n) - st.MeanF*st.MeanF
-	if variance > 0 {
-		st.StdF = math.Sqrt(variance)
-	}
-	return st
+	return must(CompareParallelCtx(nil, orig, dec, tau, workers))
 }
 
 // CompareParallelCtx is CompareParallel with cancellation; the per-pair
@@ -334,7 +206,7 @@ func CompareParallelCtx(ctx context.Context, orig, dec *Skeleton, tau float64, w
 	}
 	dists := make([]float64, n)
 	bad := make([]bool, n)
-	if err := parallel.CtxForErr(ctx, n, workers, 4, func(i int) error {
+	if err := parallel.For(ctx, n, workers, 4, func(i int) error {
 		a, b := &orig.Seps[i], &dec.Seps[i]
 		dists[i] = frechet.Distance(a.Points, b.Points)
 		bad[i] = !CheckTraj(a, b, tau)

@@ -1,12 +1,14 @@
 package skeleton
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"tspsz/internal/field"
 	"tspsz/internal/integrate"
+	"tspsz/internal/parallel"
 )
 
 // gyreField builds a double-gyre-like field with several critical points:
@@ -176,4 +178,21 @@ func TestCompareLengthMismatchCountsMissing(t *testing.T) {
 	if st.Incorrect != 2 {
 		t.Errorf("Incorrect = %d, want 2 for two missing separatrices", st.Incorrect)
 	}
+}
+
+// A ctx-free name has no error to return, so a worker panic comes back on
+// the caller's goroutine as the contained *parallel.PanicError, where the
+// caller can recover it, instead of killing the process from a worker.
+func TestCtxFreeNameRepanicsContainedPanic(t *testing.T) {
+	f := gyreField(17)
+	f.U = f.U[:3] // critical-point extraction indexes past the component
+	defer func() {
+		err, _ := recover().(error)
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("recovered %v, want a *parallel.PanicError", err)
+		}
+	}()
+	ExtractCPsParallel(f, 4)
+	t.Fatal("extraction over a truncated component did not panic")
 }

@@ -190,7 +190,7 @@ func DecompressCtx(ctx context.Context, data []byte) (f *field.Field, err error)
 		return nil, streamerr.Corrupt("zfp stream", "%d trailing bytes after final component", len(data)-off).WithOffset(int64(off))
 	}
 	comps := make([][]float32, ncomp)
-	if err := parallel.CtxForErr(ctx, ncomp, 0, 1, func(c int) error {
+	if err := parallel.For(ctx, ncomp, 0, 1, func(c int) error {
 		rawSyms, err := inflateUnpack(secs[c].syms)
 		if err != nil {
 			return streamerr.Wrap(streamerr.ErrCorrupt, "zfp symbols", err).WithChunk(c)
