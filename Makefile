@@ -64,7 +64,10 @@ fault-sweep:
 # Observability smoke: run a small compress + decompress through the real
 # CLI with -stats and -cpuprofile, then assert the stats JSON parses (jq),
 # names every expected pipeline stage, and that the byte-partition counters
-# sum exactly to the archive size. CI uploads the JSON as an artifact.
+# sum exactly to the archive size. A -stream compress then checks the
+# streaming stats: one predict-quantize span (the single layer sweep), an
+# entropy-encode span, the byte partition, and a non-empty spill. CI uploads
+# the JSON as an artifact.
 PROFILE_SMOKE_STAGES = cp-extract trace predict-quantize histogram entropy-encode correction container
 profile-smoke:
 	$(GO) run ./cmd/tspsz gen -dataset cba -scale 1 -out profile_smoke.tspf
@@ -83,6 +86,18 @@ profile-smoke:
 		profile_smoke_decode_stats.json >/dev/null \
 		|| { echo "profile-smoke: decode stages missing from stats JSON" >&2; exit 1; }
 	test -s profile_smoke.pprof
+	$(GO) run ./cmd/tspsz gen -dataset hurricane -scale 0.1 -out profile_smoke_stream.tspf
+	$(GO) run ./cmd/tspsz compress -in profile_smoke_stream.tspf -out profile_smoke_stream.tsz -stream -variant 1 \
+		-stats=profile_smoke_stream_stats.json
+	jq -e '[.spans[] | select(.stage == "predict-quantize")] | length == 1' profile_smoke_stream_stats.json >/dev/null \
+		|| { echo "profile-smoke: streaming compress must run exactly one predict-quantize sweep" >&2; exit 1; }
+	jq -e '[.spans[].stage] | index("entropy-encode") != null' profile_smoke_stream_stats.json >/dev/null \
+		|| { echo "profile-smoke: entropy-encode missing from streaming stats JSON" >&2; exit 1; }
+	jq -e '.counters | (.bytes_stream_header + .bytes_section_eb + .bytes_section_quant + .bytes_section_raw + .bytes_stream_trailer + .bytes_container) == .bytes_out' \
+		profile_smoke_stream_stats.json >/dev/null \
+		|| { echo "profile-smoke: streaming byte partition does not sum to bytes_out" >&2; exit 1; }
+	jq -e '.counters.bytes_stream_spill > 0' profile_smoke_stream_stats.json >/dev/null \
+		|| { echo "profile-smoke: bytes_stream_spill missing or zero in streaming stats JSON" >&2; exit 1; }
 	@echo "profile-smoke: OK"
 
 # Streaming acceptance: the byte-identity differentials (streamed archive

@@ -445,8 +445,8 @@ func cmdCompress(args []string) error {
 }
 
 // compressStreaming is compress -stream: the input field never becomes
-// resident. Layers are pulled straight off the .tspf file through the
-// two-pass streaming encoder, and the archive lands atomically at out.
+// resident. Layers are pulled straight off the .tspf file in one sweep of
+// the streaming encoder, and the archive lands atomically at out.
 // Only TspSZ-1 streams (TspSZ-i's correction loop needs the whole field);
 // the library rejects other variants with a header error.
 func compressStreaming(ctx context.Context, in, out string, opts tspsz.Options) error {

@@ -37,6 +37,9 @@ import (
 // resident for iterative correction and cannot stream.
 func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch field.LayerFetcher, eb field.EbFetcher, opts Options) (written int64, err error) {
 	defer streamerr.CancelGuard("core", &err)
+	if w == nil {
+		return 0, errors.New("core: CompressStream requires a writer")
+	}
 	o := opts.withDefaults()
 	if o.Variant != TspSZ1 {
 		return 0, streamerr.Header("core", "only the TspSZ-1 variant can stream; TspSZ-i correction needs the whole field resident")
@@ -72,6 +75,9 @@ func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch fiel
 // per-frame sizes and stats but leaves Bytes nil — the container went to w.
 func CompressSequenceStream(ctx context.Context, w io.Writer, count int, fetch field.FrameFetcher, opts Options) (sr *SeqResult, err error) {
 	defer streamerr.CancelGuard("sequence", &err)
+	if w == nil {
+		return nil, errors.New("core: CompressSequenceStream requires a writer")
+	}
 	if count <= 0 {
 		return nil, errors.New("core: empty sequence")
 	}

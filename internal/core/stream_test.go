@@ -72,6 +72,24 @@ func TestCompressStreamRejectsTspSZi(t *testing.T) {
 	}
 }
 
+// TestCompressStreamRejectsNilWriter: a nil writer fails before any layer
+// is fetched, rather than panicking once the container is sealed.
+func TestCompressStreamRejectsNilWriter(t *testing.T) {
+	f := laminar3D(8, 8, 16)
+	fetched := 0
+	fetch := field.LayerFetcherFunc(func(k int) ([][]float32, error) {
+		fetched++
+		return f.LayerView(k), nil
+	})
+	opts := Options{Variant: TspSZ1, Mode: ebound.Absolute, ErrBound: 0.01}
+	if _, err := CompressStream(nil, nil, 8, 8, 16, fetch, nil, opts); err == nil {
+		t.Fatal("nil writer accepted")
+	}
+	if fetched != 0 {
+		t.Fatalf("nil writer still fetched %d layers", fetched)
+	}
+}
+
 func TestCompressSequenceStreamMatchesInMemory(t *testing.T) {
 	frames := makeSequence(5)
 	opts := Options{Variant: TspSZ1, Mode: ebound.Absolute, ErrBound: 0.02,
@@ -156,5 +174,16 @@ func TestCompressSequenceStreamErrors(t *testing.T) {
 	cancel()
 	if _, err := CompressSequenceStream(ctx, &buf, 2, fetch, opts); !errors.Is(err, streamerr.ErrCancelled) {
 		t.Fatalf("pre-cancelled: got %v", err)
+	}
+	fetched := 0
+	counting := field.FrameFetcherFunc(func(ti int) (*field.Field, error) {
+		fetched++
+		return evolvingGyre(6, 6, float64(ti)), nil
+	})
+	if _, err := CompressSequenceStream(nil, nil, 2, counting, opts); err == nil {
+		t.Fatal("nil writer accepted")
+	}
+	if fetched != 0 {
+		t.Fatalf("nil writer still fetched %d frames", fetched)
 	}
 }

@@ -1,6 +1,7 @@
 package cpsz
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -21,15 +22,19 @@ import (
 // The streaming writer produces archives byte-identical to CompressCtx +
 // serialize without ever holding the whole field: layers arrive through a
 // field.LayerFetcher, regions flow through a bounded parallel.Pipeline
-// window, and compressed v4 chunks are sealed incrementally as each
-// region's symbols complete. Two passes make that possible — chunk
-// boundaries (chunkBound) and the shared Huffman tables both depend on
-// whole-section totals, so pass 1 runs the predict/quantize sweep
-// accumulating histograms and section lengths, and pass 2 reruns the
-// identical sweep feeding incremental per-section chunk encoders. The raw
+// window, and compressed v4 chunks are sealed once the sweep is done. Chunk
+// boundaries (chunkBound) and the shared Huffman tables depend on
+// whole-section totals, so the one predict/quantize sweep accumulates
+// histograms and section lengths while keeping each region's streams as a
+// spill: eb and quant symbols Huffman-coded under a region-local table,
+// raw bytes verbatim. Once the section tables exist, the spills are decoded
+// in region order into incremental per-section chunk encoders; no layer is
+// fetched, no bound derived and no vertex quantized a second time. The raw
 // field is never resident; what is resident is O(window) layers of input,
-// O(maxSlabs) saved boundary planes, and the compressed chunks themselves
-// (O(archive), typically a small fraction of the field).
+// O(maxSlabs) saved boundary planes, the spill (close to the archive's size
+// on real data, at most about one bit per symbol on near-constant data),
+// and the compressed chunks themselves (O(archive), typically a small
+// fraction of the field).
 
 // streamMaxAxis mirrors field's header cap: each axis must fit the u32
 // header fields with room to spare, so the uint32 narrowing in the stream
@@ -68,13 +73,13 @@ type compressedRegion struct {
 	reconForAbove, reconForBelow [][]float32
 }
 
-// layerSweep runs one full region sweep (interiors ascending, then
+// layerSweep runs the full region sweep (interiors ascending, then
 // boundary planes ascending — the exact order the in-memory path
-// concatenates region streams) against a re-invocable LayerFetcher,
-// handing each region's streams to a serial consume callback. Fetching is
-// serial on the calling goroutine, compressRegion runs on the worker pool,
-// and consumption is serial in region order, with at most `window` regions
-// in flight.
+// concatenates region streams) against a LayerFetcher, handing each
+// region's streams to a serial consume callback. Fetching is serial on the
+// calling goroutine, compressRegion runs on the worker pool, and
+// consumption is serial in region order, with at most `window` regions in
+// flight.
 type layerSweep struct {
 	nx, ny, nz int
 	plane      int // nx*ny
@@ -134,6 +139,10 @@ func newLayerSweep(nx, ny, nz int, fetch field.LayerFetcher, eb field.EbFetcher,
 		fetch: fetch, eb: eb, opts: opts,
 		interiors: interiors, boundaries: boundaries,
 		workers: workers, window: window,
+		orig:       make(map[int][][]float32),
+		reconBelow: make(map[int][][]float32),
+		reconAbove: make(map[int][][]float32),
+		bounds:     make(map[int][]float64),
 		maxLocalNz: maxLocalNz,
 	}
 }
@@ -374,14 +383,11 @@ func (sw *layerSweep) compressPrepared(p preparedRegion) (compressedRegion, erro
 	return out, nil
 }
 
-// run performs one full sweep, invoking consume once per region in
-// deterministic region order.
+// run performs the sweep, invoking consume once per region in
+// deterministic region order. Layers (and bound layers) are fetched in
+// non-decreasing k; a cut plane is fetched once for each slab it
+// neighbors.
 func (sw *layerSweep) run(ctx context.Context, consume func(rs *regionStreams) error) error {
-	sw.orig = make(map[int][][]float32)
-	sw.reconBelow = make(map[int][][]float32)
-	sw.reconAbove = make(map[int][][]float32)
-	sw.bounds = make(map[int][]float64)
-
 	err := parallel.Pipeline(ctx, len(sw.interiors), sw.workers, sw.window,
 		sw.prepareInterior,
 		func(i int, p preparedRegion) (compressedRegion, error) { return sw.compressPrepared(p) },
@@ -410,9 +416,88 @@ func (sw *layerSweep) run(ctx context.Context, consume func(rs *regionStreams) e
 		})
 }
 
+// regionSpill is one region's streams, held from the sweep until the
+// section tables exist: eb and quant symbols as huffman.Encode streams under
+// a region-local table, raw bytes verbatim.
+type regionSpill struct {
+	eb, quant, raw []byte
+}
+
+// streamSpill keeps the sweep's region streams in region order. A Huffman
+// code spends at least one bit per symbol, so the spill stays close to the
+// archive's size on real data and near one bit per symbol on near-constant
+// data: 1/24 of the field in absolute mode, 1/16 in relative mode.
+type streamSpill struct {
+	regions []regionSpill
+	bytes   int64 // total spilled bytes (obs.CtrBytesStreamSpill)
+}
+
+func (sp *streamSpill) add(rs *regionStreams) error {
+	eb, err := huffman.Encode(rs.ebSyms)
+	if err != nil {
+		return err
+	}
+	quant, err := huffman.Encode(rs.quantSyms)
+	if err != nil {
+		return err
+	}
+	r := regionSpill{eb: eb, quant: quant, raw: bytes.Clone(rs.raw)}
+	sp.regions = append(sp.regions, r)
+	sp.bytes += int64(len(r.eb) + len(r.quant) + len(r.raw))
+	return nil
+}
+
+// drain decodes the regions in order into symbol buffers reused across
+// regions, hands each region to feed and drops it once fed, checking ctx
+// between regions.
+func (sp *streamSpill) drain(ctx context.Context, feed func(ebSyms, quantSyms []uint32, raw []byte) error) error {
+	var ebBuf, quantBuf []uint32
+	for i := range sp.regions {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		r := &sp.regions[i]
+		var err error
+		if ebBuf, err = unspill(r.eb, ebBuf); err != nil {
+			return err
+		}
+		if quantBuf, err = unspill(r.quant, quantBuf); err != nil {
+			return err
+		}
+		if err := feed(ebBuf, quantBuf, r.raw); err != nil {
+			return err
+		}
+		*r = regionSpill{}
+	}
+	return nil
+}
+
+// unspill decodes one huffman.Encode stream into buf, which grows only when
+// a region holds more symbols than any region before it.
+func unspill(data []byte, buf []uint32) ([]uint32, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > 8*uint64(len(data)) {
+		return nil, errors.New("cpsz: internal: malformed stream spill")
+	}
+	if n == 0 {
+		return buf[:0], nil
+	}
+	t, consumed, err := huffman.ParseTable(data[k:], n)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(cap(buf)) < n {
+		buf = make([]uint32, n)
+	}
+	buf = buf[:n]
+	return buf, t.DecodeChunk(data[k+consumed:], buf)
+}
+
 // symSectionEncoder seals fixed-extent symbol chunks incrementally as
 // region streams arrive. Chunk boundaries are the same chunkBound
-// partition the in-memory serialize uses — they depend on the pass-1
+// partition the in-memory serialize uses — they depend on the swept
 // section total, never on how symbols arrive — so the sealed chunks are
 // byte-identical to the batch path's.
 type symSectionEncoder struct {
@@ -435,7 +520,7 @@ func newSymSectionEncoder(table *huffman.Table, n int) *symSectionEncoder {
 func (e *symSectionEncoder) feed(syms []uint32) error {
 	for len(syms) > 0 {
 		if e.ci >= e.cc {
-			return errors.New("cpsz: internal: section symbols exceed pass-1 total")
+			return errors.New("cpsz: internal: section symbols exceed the swept total")
 		}
 		lo, hi := chunkBound(e.n, e.cc, e.ci)
 		take := (hi - lo) - len(e.pending)
@@ -459,7 +544,7 @@ func (e *symSectionEncoder) feed(syms []uint32) error {
 
 func (e *symSectionEncoder) finish() error {
 	if e.ci != e.cc || len(e.pending) != 0 {
-		return errors.New("cpsz: internal: section symbols short of pass-1 total")
+		return errors.New("cpsz: internal: section symbols short of the swept total")
 	}
 	return nil
 }
@@ -485,7 +570,7 @@ func newRawSectionEncoder(n int) *rawSectionEncoder {
 func (e *rawSectionEncoder) feed(raw []byte) error {
 	for len(raw) > 0 {
 		if e.ci >= e.cc {
-			return errors.New("cpsz: internal: raw section exceeds pass-1 total")
+			return errors.New("cpsz: internal: raw section exceeds the swept total")
 		}
 		lo, hi := chunkBound(e.n, e.cc, e.ci)
 		take := (hi - lo) - len(e.pending)
@@ -509,7 +594,7 @@ func (e *rawSectionEncoder) feed(raw []byte) error {
 
 func (e *rawSectionEncoder) finish() error {
 	if e.ci != e.cc || len(e.pending) != 0 {
-		return errors.New("cpsz: internal: raw section short of pass-1 total")
+		return errors.New("cpsz: internal: raw section short of the swept total")
 	}
 	return nil
 }
@@ -609,13 +694,16 @@ func writeChunkPayloads(cw *crcCountWriter, chunks []encChunk) error {
 // worker count. eb optionally supplies precomputed per-vertex bounds (the
 // effective bound is min(opts.ErrBound-derived, fetched); negative forces
 // lossless); a nil eb uses the same topology-derived bounds as the
-// in-memory path. The fetcher is invoked in two passes (histogram, then
-// encode) with non-decreasing layer order within each pass.
+// in-memory path. Both fetchers are swept once in non-decreasing layer
+// order: each layer of fetch is requested at most twice in a row (a cut
+// plane neighbors two slabs), each layer of eb exactly once.
 //
-// Peak memory is O(window·slab + maxSlabs·plane + archive), never
-// O(field). Unsupported on this path (use CompressCtx): 2D fields, SoS
-// bounds, interpolation prediction, forced-lossless bitmaps, and temporal
-// references. Returns the number of bytes written.
+// Peak memory is O(window·slab + maxSlabs·plane + spill + archive), never
+// O(field); the spill is close to the archive's size on real data and at
+// most about one bit per symbol on near-constant data. Unsupported on this
+// path (use CompressCtx): 2D fields, SoS bounds, interpolation prediction,
+// forced-lossless bitmaps, and temporal references. Returns the number of
+// bytes written.
 func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch field.LayerFetcher, eb field.EbFetcher, opts Options) (written int64, err error) {
 	defer streamerr.CancelGuard("cpsz", &err)
 	if ctx != nil {
@@ -653,22 +741,24 @@ func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch fiel
 
 	sw := newLayerSweep(nx, ny, nz, fetch, eb, opts)
 
-	// Pass 1: predict/quantize sweep accumulating per-section histograms
-	// and totals; symbols are discarded as soon as they are observed.
+	// The one sweep: accumulate per-section histograms and totals, and
+	// spill each region's streams for the chunk encoders below.
 	var ebHist, quantHist huffman.Histogram
 	var nRaw, nMarks int64
+	var sp streamSpill
 	if err := c.Do(obs.StagePredictQuant, workers, nv, func() error {
 		return sw.run(ctx, func(rs *regionStreams) error {
 			ebHist.Observe(rs.ebSyms)
 			quantHist.Observe(rs.quantSyms)
 			nRaw += int64(len(rs.raw))
 			nMarks += int64(len(rs.marks))
-			return nil
+			return sp.add(rs)
 		})
 	}); err != nil {
 		return 0, err
 	}
 	c.Add(obs.CtrLosslessVertices, nMarks)
+	c.Add(obs.CtrBytesStreamSpill, sp.bytes)
 
 	var ebTable, quantTable *huffman.Table
 	if err := c.Do(obs.StageHistogram, 1, int64(ebHist.Total()), func() error {
@@ -684,8 +774,8 @@ func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch fiel
 		return 0, err
 	}
 
-	// Pass 2: identical sweep feeding incremental chunk encoders, then the
-	// single write-out. Encoded chunks (O(archive)) are the only state
+	// Feed the spill to incremental chunk encoders in region order, then
+	// the single write-out. Encoded chunks (O(archive)) are the only state
 	// buffered to the end; any failure re-pools every sealed payload.
 	ebEnc := newSymSectionEncoder(ebTable, int(ebHist.Total()))
 	quantEnc := newSymSectionEncoder(quantTable, int(quantHist.Total()))
@@ -699,14 +789,14 @@ func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch fiel
 	}()
 	cw := &crcCountWriter{w: w}
 	if err := c.Do(obs.StageEntropyEncode, workers, int64(ebHist.Total()+quantHist.Total()), func() error {
-		if err := sw.run(ctx, func(rs *regionStreams) error {
-			if err := ebEnc.feed(rs.ebSyms); err != nil {
+		if err := sp.drain(ctx, func(ebSyms, quantSyms []uint32, raw []byte) error {
+			if err := ebEnc.feed(ebSyms); err != nil {
 				return err
 			}
-			if err := quantEnc.feed(rs.quantSyms); err != nil {
+			if err := quantEnc.feed(quantSyms); err != nil {
 				return err
 			}
-			return rawEnc.feed(rs.raw)
+			return rawEnc.feed(raw)
 		}); err != nil {
 			return err
 		}

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"tspsz/internal/datagen"
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
+	"tspsz/internal/obs"
 	"tspsz/internal/streamerr"
 )
 
@@ -25,6 +29,47 @@ func turbBox(nx, ny, nz int) *field.Field {
 		f.W[idx] = float32(math.Sin(z)*math.Cos(x) - 0.3*math.Sin(2*y))
 	}
 	return f
+}
+
+// sweepCheck holds a fetcher to the one-sweep contract: k never decreases
+// from one request to the next, and no layer is requested more than limit
+// times.
+func sweepCheck(what string, limit int) func(k int) error {
+	prev := 0
+	counts := make(map[int]int)
+	return func(k int) error {
+		if k < prev {
+			return fmt.Errorf("%s %d requested after %d: the sweep went back", what, k, prev)
+		}
+		prev = k
+		if counts[k]++; counts[k] > limit {
+			return fmt.Errorf("%s %d requested %d times, want at most %d", what, k, counts[k], limit)
+		}
+		return nil
+	}
+}
+
+// guardLayers wraps fetch in a sweepCheck. A layer may be fetched twice,
+// since a cut plane serves the slabs on both of its sides.
+func guardLayers(fetch field.LayerFetcher) field.LayerFetcher {
+	check := sweepCheck("layer", 2)
+	return field.LayerFetcherFunc(func(k int) ([][]float32, error) {
+		if err := check(k); err != nil {
+			return nil, err
+		}
+		return fetch.Layer(k)
+	})
+}
+
+// guardBounds wraps eb in a sweepCheck that allows one fetch per layer.
+func guardBounds(eb field.EbFetcher) field.EbFetcher {
+	check := sweepCheck("bound layer", 1)
+	return field.EbFetcherFunc(func(k int) ([]float64, error) {
+		if err := check(k); err != nil {
+			return nil, err
+		}
+		return eb.LayerBounds(k)
+	})
 }
 
 // TestStreamMatchesInMemory is the core acceptance differential: the
@@ -50,7 +95,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			opts := tc.opts
 			opts.Workers = workers
 			var buf bytes.Buffer
-			n, err := CompressStream(nil, &buf, 16, 14, 96, field.Layers(f), nil, opts)
+			n, err := CompressStream(nil, &buf, 16, 14, 96, guardLayers(field.Layers(f)), nil, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -113,7 +158,7 @@ func TestStreamEbFetcher(t *testing.T) {
 	})
 	opts := Options{Mode: ebound.Absolute, ErrBound: 0.01, Workers: 3}
 	var buf bytes.Buffer
-	if _, err := CompressStream(nil, &buf, nx, ny, nz, field.Layers(f), eb, opts); err != nil {
+	if _, err := CompressStream(nil, &buf, nx, ny, nz, guardLayers(field.Layers(f)), guardBounds(eb), opts); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := Decompress(buf.Bytes(), 3)
@@ -146,7 +191,7 @@ func TestStreamEbFetcher(t *testing.T) {
 		return b, nil
 	})
 	var wideBuf bytes.Buffer
-	if _, err := CompressStream(nil, &wideBuf, nx, ny, nz, field.Layers(f), wide, opts); err != nil {
+	if _, err := CompressStream(nil, &wideBuf, nx, ny, nz, guardLayers(field.Layers(f)), guardBounds(wide), opts); err != nil {
 		t.Fatal(err)
 	}
 	plainOpts := opts
@@ -157,6 +202,60 @@ func TestStreamEbFetcher(t *testing.T) {
 	}
 	if !bytes.Equal(wideBuf.Bytes(), ref.Bytes) {
 		t.Fatal("infinite fetched bounds do not reproduce the Plain stream")
+	}
+}
+
+// TestStreamSpillBounded bounds the spill the sweep keeps for the chunk
+// encoders: on real data it stays close to the archive, and on data the
+// archive codes below one bit per symbol it stays near that one-bit floor.
+// The fields cover both error modes, a Nek5000 field and Gaussian noise,
+// whose critical point in nearly every cell makes the raw bytes dominate.
+func TestStreamSpillBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	noise := field.New3D(20, 20, 24)
+	for _, comp := range noise.Components() {
+		for i := range comp {
+			comp[i] = float32(rng.NormFloat64())
+		}
+	}
+	hurricane := datagen.Hurricane(32, 32, 24)
+	cases := []struct {
+		name string
+		f    *field.Field
+		opts Options
+	}{
+		{"hurricane-abs", hurricane, Options{Mode: ebound.Absolute, ErrBound: 5e-3}},
+		{"hurricane-rel", hurricane, Options{Mode: ebound.Relative, ErrBound: 5e-2}},
+		{"nek5000", datagen.Nek5000(20), Options{Mode: ebound.Absolute, ErrBound: 1e-2}},
+		{"noise", noise, Options{Mode: ebound.Absolute, ErrBound: 1e-2}},
+	}
+	for _, tc := range cases {
+		c := obs.New()
+		tc.opts.Collector = c
+		tc.opts.Workers = 2
+		nx, ny, nz := tc.f.Grid.Dims()
+		var buf bytes.Buffer
+		archive, err := CompressStream(nil, &buf, nx, ny, nz, field.Layers(tc.f), nil, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := c.Snapshot()
+		spill := s.Counters[obs.CtrBytesStreamSpill.String()]
+		var symbols int64
+		for _, sp := range s.Spans {
+			if sp.Stage == obs.StageEntropyEncode.String() {
+				symbols += sp.Items
+			}
+		}
+		interiors, boundaries := partition(tc.f.Grid)
+		regions := int64(len(interiors) + len(boundaries))
+		limit := 1.25*float64(archive) + float64(symbols)/8 + 1024*float64(regions)
+		if spill <= 0 || float64(spill) > limit {
+			t.Errorf("%s: spill %d bytes, want in (0, %.0f] (archive %d bytes, %d symbols, %d regions)",
+				tc.name, spill, limit, archive, symbols, regions)
+		}
+		t.Logf("%s: spill %d bytes = %.2f× the %d-byte archive (%d symbols, %d regions)",
+			tc.name, spill, float64(spill)/float64(archive), archive, symbols, regions)
 	}
 }
 

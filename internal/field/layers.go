@@ -16,12 +16,9 @@ import (
 //   - The returned slices are views, valid only until the next Layer call;
 //     implementations may reuse their buffers and callers copy what they
 //     keep.
-//   - Within one compression pass k is non-decreasing; a layer may be
-//     requested more than once in a row (a cut plane is the neighbor of
-//     the slabs on both of its sides).
-//   - The compressor makes two passes (histogram, then encode), so the
-//     fetcher is re-invoked from k = 0 a second time and must be
-//     restartable.
+//   - The compressor sweeps the layers once, with k non-decreasing; a
+//     layer may be requested twice in a row (a cut plane is the neighbor
+//     of the slabs on both of its sides).
 type LayerFetcher interface {
 	Layer(k int) ([][]float32, error)
 }
@@ -36,7 +33,8 @@ func (fn LayerFetcherFunc) Layer(k int) ([][]float32, error) { return fn(k) }
 // streaming compressor (the analogue of the exemplar's EbFetcher): the
 // effective bound of a vertex is min(user bound, fetched bound), and a
 // negative fetched bound forces the vertex lossless. Validity and ordering
-// rules match LayerFetcher.Layer, including the two-pass restart.
+// rules match LayerFetcher.Layer, except that each layer is requested
+// exactly once.
 type EbFetcher interface {
 	LayerBounds(k int) ([]float64, error)
 }

@@ -116,6 +116,10 @@ const (
 	// CtrBytesPatch is the packed TspSZ-i correction patch alone (a
 	// sub-measure of CtrBytesContainer, not part of the partition).
 	CtrBytesPatch
+	// CtrBytesStreamSpill is the streaming compressor's spill at the end of
+	// its sweep: the region streams held, entropy-coded, until the section
+	// tables exist (a working-set measure, not part of the partition).
+	CtrBytesStreamSpill
 	// CtrChunksEncoded counts entropy chunks Huffman+DEFLATE packed.
 	CtrChunksEncoded
 	// CtrChunksDecoded counts entropy chunks verified + inflated.
@@ -149,6 +153,7 @@ var counterNames = [numCounters]string{
 	"bytes_stream_trailer",
 	"bytes_container",
 	"bytes_patch",
+	"bytes_stream_spill",
 	"chunks_encoded",
 	"chunks_decoded",
 	"lossless_vertices",

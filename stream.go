@@ -17,11 +17,10 @@ import (
 
 // LayerFetcher supplies one z-layer of each vector component on demand. The
 // returned planes are views valid only until the next Layer call; the
-// compressor copies what it needs to retain. Within one pass layers are
-// requested with non-decreasing k (the same k may be requested again); the
-// streaming compressor makes two passes, so the fetcher must be re-invocable
-// from k=0 — an io.ReaderAt-backed source like FileLayers satisfies this
-// naturally.
+// compressor copies what it needs to retain. The streaming compressor
+// sweeps the layers once with non-decreasing k; the same k may be requested
+// twice in a row (a cut plane serves the slabs on both of its sides), so a
+// pipe-backed source only has to keep the last layer it returned.
 type LayerFetcher = field.LayerFetcher
 
 // LayerFetcherFunc adapts a function to the LayerFetcher interface.

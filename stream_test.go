@@ -3,6 +3,7 @@ package tspsz_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -28,9 +29,29 @@ func laminarField(nx, ny, nz int) *tspsz.Field {
 	return f
 }
 
+// oneSweep wraps fetch so that it fails when the compressor breaks the
+// one-sweep contract: k never decreases from one request to the next, and
+// a layer is fetched at most twice (a cut plane serves the slabs on both
+// of its sides).
+func oneSweep(fetch tspsz.LayerFetcher) tspsz.LayerFetcher {
+	prev := 0
+	counts := make(map[int]int)
+	return tspsz.LayerFetcherFunc(func(k int) ([][]float32, error) {
+		if k < prev {
+			return nil, fmt.Errorf("layer %d requested after %d: the sweep went back", k, prev)
+		}
+		prev = k
+		if counts[k]++; counts[k] > 2 {
+			return nil, fmt.Errorf("layer %d requested %d times, want at most 2", k, counts[k])
+		}
+		return fetch.Layer(k)
+	})
+}
+
 // TestStreamDifferential is the acceptance differential at the public API:
 // streaming compression is byte-identical to the in-memory path at every
-// worker count, from both an in-memory fetcher and a file-backed one.
+// worker count, from both an in-memory fetcher and a file-backed one, and
+// either fetcher is swept once.
 func TestStreamDifferential(t *testing.T) {
 	nx, ny, nz := 18, 16, 80
 	f := laminarField(nx, ny, nz)
@@ -45,7 +66,7 @@ func TestStreamDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mem bytes.Buffer
-		if _, err := tspsz.CompressStream(nil, &mem, nx, ny, nz, tspsz.FieldLayers(f), nil, opts); err != nil {
+		if _, err := tspsz.CompressStream(nil, &mem, nx, ny, nz, oneSweep(tspsz.FieldLayers(f)), nil, opts); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(mem.Bytes(), ref.Bytes) {
@@ -56,7 +77,7 @@ func TestStreamDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		var disk bytes.Buffer
-		if _, err := tspsz.CompressStream(nil, &disk, nx, ny, nz, fl, nil, opts); err != nil {
+		if _, err := tspsz.CompressStream(nil, &disk, nx, ny, nz, oneSweep(fl), nil, opts); err != nil {
 			t.Fatalf("workers=%d file-backed: %v", workers, err)
 		}
 		if !bytes.Equal(disk.Bytes(), ref.Bytes) {
@@ -122,12 +143,14 @@ func TestStreamNilEbKeepsCriticalPoints(t *testing.T) {
 // Budget calibration: the live set, measured by heap profile after a forced
 // GC mid-run, is ~40% of the field — the in-flight slab window plus the
 // saved cut planes (9 component planes per cut, up to 64 cuts) that must
-// persist until the boundary regions seal at the end of each pass. Raw
-// HeapAlloc peaks 1.5-2× the live set because the monitor also sees garbage
-// awaiting collection and allocation during the concurrent mark phase, so
-// the assertion uses the full field size (observed peak ~140 MiB vs the
-// 192 MiB budget). The in-memory path needs >=3× the field (field + clone +
-// region streams), so the bound still separates the two paths decisively.
+// persist until the boundary regions are swept at the end — plus the
+// spill, which on this near-constant field sits at its floor of one bit per
+// symbol (~8 MiB). Raw HeapAlloc peaks 1.5-2× the live set because the
+// monitor also sees garbage awaiting collection and allocation during the
+// concurrent mark phase, so the assertion uses the full field size
+// (observed peak 152-160 MiB on a 2-vCPU host, vs the 192 MiB budget). The
+// in-memory path needs >=3× the field (field + clone + region streams), so
+// the bound still separates the two paths decisively.
 func TestStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-MB-equivalent field")
@@ -236,9 +259,9 @@ func TestStreamCancellationNoLeak(t *testing.T) {
 // 3D field through the streaming and resident paths, so the trajectory
 // JSON shows the throughput and allocation cost of out-of-core mode next
 // to its in-memory equivalent. Both are dominated by coupled-bound
-// derivation (tens of µs/vertex), which the streaming path pays twice —
-// once per pass; BenchmarkCompressStreamEb supplies precomputed bounds
-// through the EbFetcher, isolating the streaming machinery itself.
+// derivation (several µs per vertex), which each path pays once per
+// vertex; BenchmarkCompressStreamEb supplies precomputed bounds through
+// the EbFetcher, isolating the streaming machinery itself.
 func BenchmarkCompressStream(b *testing.B) {
 	nx, ny, nz := 32, 32, 64
 	f := laminarField(nx, ny, nz)
