@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec
 	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz='^FuzzDecompressSequence$$' -fuzztime=10s -run='^$$' ./internal/core
+	$(GO) test -fuzz='^FuzzSalvage$$' -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz='^FuzzDecompressTruncated$$' -fuzztime=10s -run='^$$' ./internal/cpsz
 	$(GO) test -fuzz='^FuzzSalvage$$' -fuzztime=10s -run='^$$' ./internal/cpsz
 
@@ -50,10 +51,11 @@ fuzz-smoke:
 # flipped, every offset truncated, seeded random corruption — decoded with
 # parallel workers through both the cpSZ layer and the public API. -short
 # strides the byte sweep for CI; run without it for the exhaustive pass.
-# The salvage sweep corrupts every single chunk of a multi-chunk v4
-# archive and requires every other chunk back bit-exactly; the
-# cancellation sweep fires mid-flight cancels under -race to prove no
-# goroutine or pooled buffer leaks on the abandon path.
+# The salvage sweep corrupts every single chunk of a multi-chunk archive
+# and requires every other chunk back bit-exactly; the VerifyAll tests
+# hold the exhaustive scan's first failure to the class strict decode
+# reports; the cancellation sweep fires mid-flight cancels under -race to
+# prove no goroutine or pooled buffer leaks on the abandon path.
 fault-sweep:
 	$(GO) test -race -short -run='^TestFaultSweep$$' ./internal/cpsz
 	$(GO) test -race -short -run='^(TestSalvage|TestVerifyAll)' ./internal/cpsz

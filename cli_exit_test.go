@@ -2,6 +2,7 @@ package tspsz_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -55,12 +56,32 @@ func TestCLIExitCodes(t *testing.T) {
 	futureVersion := write("future.tsz", faultinject.ZeroRange(stream, 4, 5)) // version byte -> 0
 	badMagic := write("bad-magic.tsz", append([]byte("NOPE"), stream[4:]...))
 	outPath := filepath.Join(dir, "out.tspf")
+	// Archives of every other format generation: container versions and
+	// bare cpSZ stream versions this build no longer reads.
+	cp, err := tspsz.CompressCP(f, tspsz.ModeAbsolute, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withVersion := func(data []byte, v byte) []byte {
+		out := append([]byte(nil), data...)
+		out[4] = v
+		return out
+	}
+	var versions []string
+	for _, v := range []byte{1, 2, 4} {
+		versions = append(versions, write(fmt.Sprintf("container-v%d.tsz", v), withVersion(stream, v)))
+	}
+	var streamVersions []string
+	for _, v := range []byte{1, 2, 3, 5} {
+		streamVersions = append(streamVersions, write(fmt.Sprintf("stream-v%d.cpsz", v), withVersion(cp.Bytes, v)))
+	}
 
-	cases := []struct {
+	type exitCase struct {
 		name string
 		args []string
 		want int
-	}{
+	}
+	cases := []exitCase{
 		{"no subcommand", nil, 2},
 		{"unknown subcommand", []string{"frobnicate"}, 2},
 		{"verify ok", []string{"verify", "-in", valid}, 0},
@@ -75,10 +96,26 @@ func TestCLIExitCodes(t *testing.T) {
 		{"verify header", []string{"verify", "-in", badMagic}, 6},
 		{"decompress header", []string{"decompress", "-in", badMagic, "-out", outPath}, 6},
 	}
+	for _, p := range versions {
+		cases = append(cases,
+			exitCase{"verify " + filepath.Base(p), []string{"verify", "-in", p}, 5},
+			exitCase{"decompress " + filepath.Base(p), []string{"decompress", "-in", p, "-out", outPath}, 5})
+	}
+	for _, p := range streamVersions {
+		cases = append(cases, exitCase{"verify " + filepath.Base(p), []string{"verify", "-in", p}, 5})
+	}
 	for _, tc := range cases {
 		got, out := exitCodeOf(t, bin, tc.args...)
 		if got != tc.want {
 			t.Errorf("%s: exit code %d, want %d\n%s", tc.name, got, tc.want, out)
+		}
+	}
+	// verify -report lists every failure but exits with the class of the
+	// first, which is the failure plain verify reports.
+	for _, p := range append([]string{truncated, corrupt, futureVersion, badMagic}, append(versions, streamVersions...)...) {
+		want, _ := exitCodeOf(t, bin, "verify", "-in", p)
+		if got, out := exitCodeOf(t, bin, "verify", "-report", "-in", p); got != want {
+			t.Errorf("verify -report %s: exit code %d, verify exits %d\n%s", filepath.Base(p), got, want, out)
 		}
 	}
 

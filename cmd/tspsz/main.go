@@ -134,8 +134,9 @@ exit codes: 0 ok, 1 error, 2 usage, 3 truncated, 4 corrupt, 5 version, 6 header,
 }
 
 // cmdVerify checks every integrity layer of a compressed stream — header
-// CRC32C, per-chunk checksums, archive trailer — without inflating or
-// decoding payloads, so damaged archives surface at I/O speed.
+// CRC32C, per-chunk checksums, archive trailer — without decoding chunk
+// payloads, so damaged archives surface at I/O speed. With -report it
+// lists every failure; either way it exits with the class of the first.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	in := fs.String("in", "", "input .tsz or .tsq path (required)")

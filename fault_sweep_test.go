@@ -23,7 +23,7 @@ func streamErrTyped(err error) bool {
 // sequence archive, truncates at every offset, and applies seeded random
 // zero/duplicate-range corruption — through the public Decompress /
 // DecompressSequence / Verify entry points with parallel workers. Both
-// archives are v3, so CRC32C must detect every single-bit flip; every
+// archives are checksummed, so CRC32C must detect every single-bit flip; every
 // failure must match a tspsz.Err* sentinel, and the sweep must leak no
 // goroutines.
 func TestFaultSweepPublicAPI(t *testing.T) {

@@ -20,28 +20,22 @@ import (
 // TspSZ-i correction patch (compressed₂ in Algorithm 3):
 //
 //	magic "TSPZ" | version u8 | variant u8 | ncomp u8 | pad u8
-//	[v3: u32 CRC32C of the 8 header bytes]
+//	u32 CRC32C of the 8 header bytes
 //	u64 patchLen | DEFLATE(patch) | u64 innerLen | inner cpSZ stream
-//	[v3: u64 totalLen | u32 CRC32C of all preceding bytes]
+//	u64 totalLen | u32 CRC32C of all preceding bytes
 //
 // The patch body is: u64 count | varint index deltas | per-component
 // float32 values (count × ncomp × 4 bytes, little endian).
 //
-// Container version 3 seals the header with a CRC32C and appends a
-// whole-container trailer, mirroring the inner cpSZ stream's v3 integrity
-// layer; version 2 was never emitted at this layer — the number is skipped
-// so the container and stream generations stay aligned. The v1 reader is
-// preserved.
+// The header CRC and the whole-container trailer mirror the inner cpSZ
+// stream's integrity layers. Version 3 is the one container format this
+// build writes and reads; any other version byte is ErrVersion.
 const containerMagic = "TSPZ"
-const (
-	containerV1      = 1
-	containerV3      = 3
-	containerVersion = containerV3
-)
+const containerVersion = 3
 
-// containerHeaderBytes is the fixed header shared by every version; v3
-// follows it with containerCRCBytes of CRC32C and ends with a
-// containerTrailerBytes trailer (u64 length + u32 CRC32C).
+// containerHeaderBytes is the fixed header, followed by containerCRCBytes
+// of CRC32C; the container ends with a containerTrailerBytes trailer (u64
+// length + u32 CRC32C).
 const (
 	containerHeaderBytes  = 8
 	containerCRCBytes     = 4
@@ -219,95 +213,112 @@ func sealContainer(c *obs.Collector, variant Variant, patch patchSet, inner []by
 	return container, nil
 }
 
-// parseContainerHeader validates the fixed container header (and, for v3,
-// the header CRC and whole-container trailer), returning the variant and
-// component count, the offset of the patch-length field, and the offset
-// one past the inner stream's last possible byte.
-func parseContainerHeader(data []byte) (variant Variant, ncomp, off, end int, err error) {
+// container is one container split into its parts. extent reports an
+// inner-stream length that disagrees with the container — ErrTruncated
+// when it runs past the container's end, ErrCorrupt when bytes trail it —
+// in which case inner is clamped to the bytes the container holds, which
+// salvage still walks.
+type container struct {
+	variant  Variant
+	ncomp    int
+	packed   []byte // DEFLATE-packed correction patch
+	inner    []byte // inner cpSZ stream
+	innerOff int    // offset of inner within the container
+	extent   error
+}
+
+// readContainer reads a container and slices out the still-packed patch
+// and the inner stream without decoding either. It returns the
+// whole-container seal's verdict (nil when the trailer verifies) next to
+// err, the first failure that leaves the parts unlocated. Length, magic,
+// version and header CRC are checked before the seal and leave it nil; the
+// component count and the patch and inner length fields are checked after
+// it, so a caller reporting seal, then err, then c.extent keeps strict
+// decode's order.
+func readContainer(data []byte) (c container, seal, err error) {
 	if len(data) >= 4 && string(data[:4]) != containerMagic {
-		return 0, 0, 0, 0, streamerr.Header("container", "bad magic, not a TspSZ container")
+		return c, nil, streamerr.Header("container", "bad magic, not a TspSZ container")
 	}
 	if len(data) < containerHeaderBytes {
-		return 0, 0, 0, 0, streamerr.Truncated("container", "%d of %d header bytes", len(data), containerHeaderBytes)
+		return c, nil, streamerr.Truncated("container", "%d of %d header bytes", len(data), containerHeaderBytes)
 	}
-	version := data[4]
-	if version != containerV1 && version != containerV3 {
-		return 0, 0, 0, 0, streamerr.Version("container", version)
+	if data[4] != containerVersion {
+		return c, nil, streamerr.Version("container", data[4]).WithOffset(4)
 	}
-	off, end = containerHeaderBytes, len(data)
-	if version == containerV3 {
-		if len(data) < containerHeaderBytes+containerCRCBytes+containerTrailerBytes {
-			return 0, 0, 0, 0, streamerr.Truncated("container", "%d bytes, v3 needs at least %d",
-				len(data), containerHeaderBytes+containerCRCBytes+containerTrailerBytes)
-		}
-		stored := binary.LittleEndian.Uint32(data[containerHeaderBytes:])
-		if got := crc32.Checksum(data[:containerHeaderBytes], crcTable); got != stored {
-			return 0, 0, 0, 0, streamerr.Corrupt("container", "header CRC32C %08x, stored %08x", got, stored)
-		}
-		off = containerHeaderBytes + containerCRCBytes
-		plen := binary.LittleEndian.Uint64(data[len(data)-containerTrailerBytes:])
-		if plen != uint64(len(data)-containerTrailerBytes) {
-			if plen > uint64(len(data)-containerTrailerBytes) {
-				return 0, 0, 0, 0, streamerr.Truncated("container trailer", "trailer declares %d payload bytes, container carries %d",
-					plen, len(data)-containerTrailerBytes)
-			}
-			return 0, 0, 0, 0, streamerr.Corrupt("container trailer", "trailer declares %d payload bytes, container carries %d",
-				plen, len(data)-containerTrailerBytes)
-		}
-		storedCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.Checksum(data[:len(data)-4], crcTable); got != storedCRC {
-			return 0, 0, 0, 0, streamerr.Corrupt("container trailer", "container CRC32C %08x, stored %08x", got, storedCRC)
-		}
-		end = len(data) - containerTrailerBytes
+	if len(data) < containerHeaderBytes+containerCRCBytes+containerTrailerBytes {
+		return c, nil, streamerr.Truncated("container", "%d bytes, a container needs at least %d",
+			len(data), containerHeaderBytes+containerCRCBytes+containerTrailerBytes)
 	}
-	variant = Variant(data[5])
-	ncomp = int(data[6])
-	if ncomp != 2 && ncomp != 3 {
-		return 0, 0, 0, 0, streamerr.Header("container", "invalid component count %d", ncomp)
+	stored := binary.LittleEndian.Uint32(data[containerHeaderBytes:])
+	if got := crc32.Checksum(data[:containerHeaderBytes], crcTable); got != stored {
+		return c, nil, streamerr.Corrupt("container", "header CRC32C %08x, stored %08x", got, stored)
 	}
-	return variant, ncomp, off, end, nil
-}
-
-// containerSections validates the header/trailer layers and slices out the
-// still-packed patch and inner cpSZ stream without decoding either.
-func containerSections(data []byte) (variant Variant, ncomp int, packed, inner []byte, err error) {
-	variant, ncomp, off, end, err := parseContainerHeader(data)
-	if err != nil {
-		return 0, 0, nil, nil, err
+	seal = verifyContainerTrailer(data)
+	body := data[:len(data)-containerTrailerBytes]
+	c.variant = Variant(data[5])
+	c.ncomp = int(data[6])
+	if c.ncomp != 2 && c.ncomp != 3 {
+		return container{}, seal, streamerr.Header("container", "invalid component count %d", c.ncomp)
 	}
-	data = data[:end]
-	if off+8 > len(data) {
-		return 0, 0, nil, nil, streamerr.Truncated("container", "patch length cut off").WithOffset(int64(off))
+	off := containerHeaderBytes + containerCRCBytes
+	if off+8 > len(body) {
+		return container{}, seal, streamerr.Truncated("container", "patch length cut off").WithOffset(int64(off))
 	}
-	plen := binary.LittleEndian.Uint64(data[off:])
+	plen := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if plen > uint64(len(data)-off) {
-		return 0, 0, nil, nil, streamerr.Truncated("patch", "patch claims %d bytes, %d remain", plen, len(data)-off).WithOffset(int64(off))
+	if plen > uint64(len(body)-off) {
+		return container{}, seal, streamerr.Truncated("patch", "patch claims %d bytes, %d remain", plen, len(body)-off).WithOffset(int64(off))
 	}
-	packed = data[off : off+int(plen)]
+	c.packed = body[off : off+int(plen)]
 	off += int(plen)
-	if off+8 > len(data) {
-		return 0, 0, nil, nil, streamerr.Truncated("container", "inner length cut off").WithOffset(int64(off))
+	if off+8 > len(body) {
+		return container{}, seal, streamerr.Truncated("container", "inner length cut off").WithOffset(int64(off))
 	}
-	ilen := binary.LittleEndian.Uint64(data[off:])
+	ilen := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if ilen > uint64(len(data)-off) {
-		return 0, 0, nil, nil, streamerr.Truncated("inner stream", "inner stream claims %d bytes, %d remain", ilen, len(data)-off).WithOffset(int64(off))
+	if ilen > uint64(len(body)-off) {
+		c.extent = streamerr.Truncated("inner stream", "inner stream claims %d bytes, %d remain", ilen, len(body)-off).WithOffset(int64(off))
+		ilen = uint64(len(body) - off)
+	} else if off+int(ilen) != len(body) {
+		c.extent = streamerr.Corrupt("container", "%d trailing bytes after inner stream", len(body)-off-int(ilen))
 	}
-	if data[4] >= containerV3 && off+int(ilen) != len(data) {
-		return 0, 0, nil, nil, streamerr.Corrupt("container", "%d trailing bytes after inner stream", len(data)-off-int(ilen))
-	}
-	return variant, ncomp, packed, data[off : off+int(ilen)], nil
+	c.inner, c.innerOff = body[off:off+int(ilen)], off
+	return c, seal, nil
 }
 
+// verifyContainerTrailer checks the whole-container trailer: a declared
+// length past the container is truncation, any other mismatch corruption.
+func verifyContainerTrailer(data []byte) error {
+	body := len(data) - containerTrailerBytes
+	if plen := binary.LittleEndian.Uint64(data[body:]); plen != uint64(body) {
+		if plen > uint64(body) {
+			return streamerr.Truncated("container trailer", "trailer declares %d payload bytes, container carries %d", plen, body)
+		}
+		return streamerr.Corrupt("container trailer", "trailer declares %d payload bytes, container carries %d", plen, body)
+	}
+	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(data[:len(data)-4], crcTable); got != stored {
+		return streamerr.Corrupt("container trailer", "container CRC32C %08x, stored %08x", got, stored)
+	}
+	return nil
+}
+
+// parseContainer strictly reads a container: seal, framing and inner extent
+// must all hold, and the patch must decode.
 func parseContainer(data []byte) (Variant, patchSet, []byte, error) {
-	variant, ncomp, packed, inner, err := containerSections(data)
+	c, seal, err := readContainer(data)
+	if seal != nil {
+		err = seal
+	}
+	if err == nil {
+		err = c.extent
+	}
 	if err != nil {
 		return 0, patchSet{}, nil, err
 	}
-	patch, err := unmarshalPatch(packed, ncomp)
+	patch, err := unmarshalPatch(c.packed, c.ncomp)
 	if err != nil {
 		return 0, patchSet{}, nil, err
 	}
-	return variant, patch, inner, nil
+	return c.variant, patch, c.inner, nil
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 
 	"tspsz/internal/cpsz"
 	"tspsz/internal/field"
@@ -81,12 +79,15 @@ func SalvageCtx(ctx context.Context, data []byte, workers int) (f *field.Field, 
 		}
 		return f, &SalvageReport{Stream: srep}, err
 	}
-	ncomp, packed, inner, _, sealBroken, err := salvageContainerSections(data)
+	// The container header must verify, but a broken seal is tolerated and
+	// an inner stream running past the container is walked as far as it
+	// goes: the inner salvage classifies the damage itself.
+	c, seal, err := readContainer(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep = &SalvageReport{ContainerSealBroken: sealBroken}
-	f, srep, err := cpsz.SalvageCtx(ctx, inner, workers)
+	rep = &SalvageReport{ContainerSealBroken: seal != nil}
+	f, srep, err := cpsz.SalvageCtx(ctx, c.inner, workers)
 	rep.Stream = srep
 	if err != nil {
 		return nil, rep, err
@@ -94,7 +95,7 @@ func SalvageCtx(ctx context.Context, data []byte, workers int) (f *field.Field, 
 	// The patch restores separatrix-involved vertices verbatim (Algorithm
 	// 3). If it cannot be decoded or applied, the salvage degrades to the
 	// uncorrected cpSZ reconstruction — still error-bounded — and says so.
-	patch, perr := unmarshalPatch(packed, ncomp)
+	patch, perr := unmarshalPatch(c.packed, c.ncomp)
 	if perr == nil {
 		perr = checkPatch(&patch, f)
 	}
@@ -141,83 +142,14 @@ func checkPatch(p *patchSet, f *field.Field) error {
 	return nil
 }
 
-// salvageContainerHeader is parseContainerHeader with trailer tolerance:
-// the fixed header and its CRC must verify, but a broken whole-container
-// trailer only sets sealBroken — the trailer is fixed-size at the end, so
-// the section bytes are still located exactly. v1 containers carry no
-// checksums and report ErrVersion.
-func salvageContainerHeader(data []byte) (ncomp, off, end int, sealBroken bool, err error) {
-	if len(data) >= 4 && string(data[:4]) != containerMagic {
-		return 0, 0, 0, false, streamerr.Header("container", "bad magic, not a TspSZ container")
-	}
-	if len(data) < containerHeaderBytes {
-		return 0, 0, 0, false, streamerr.Truncated("container", "%d of %d header bytes", len(data), containerHeaderBytes)
-	}
-	version := data[4]
-	if version != containerV1 && version != containerV3 {
-		return 0, 0, 0, false, streamerr.Version("container", version)
-	}
-	if version < containerV3 {
-		return 0, 0, 0, false, streamerr.Version("container", version).WithOffset(4)
-	}
-	if len(data) < containerHeaderBytes+containerCRCBytes+containerTrailerBytes {
-		return 0, 0, 0, false, streamerr.Truncated("container", "%d bytes, v3 needs at least %d",
-			len(data), containerHeaderBytes+containerCRCBytes+containerTrailerBytes)
-	}
-	stored := binary.LittleEndian.Uint32(data[containerHeaderBytes:])
-	if got := crc32.Checksum(data[:containerHeaderBytes], crcTable); got != stored {
-		return 0, 0, 0, false, streamerr.Corrupt("container", "header CRC32C %08x, stored %08x; a damaged container header cannot be salvaged", got, stored)
-	}
-	off = containerHeaderBytes + containerCRCBytes
-	end = len(data) - containerTrailerBytes
-	plen := binary.LittleEndian.Uint64(data[end:])
-	storedCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if plen != uint64(end) || crc32.Checksum(data[:len(data)-4], crcTable) != storedCRC {
-		sealBroken = true
-	}
-	ncomp = int(data[6])
-	if ncomp != 2 && ncomp != 3 {
-		return 0, 0, 0, sealBroken, streamerr.Header("container", "invalid component count %d", ncomp)
-	}
-	return ncomp, off, end, sealBroken, nil
-}
-
-// salvageContainerSections slices the packed patch and inner stream out of
-// a possibly damaged container. The length fields must be readable (without
-// them the inner stream cannot be located), but an inner length running
-// past the container is clamped instead of fatal — the inner salvage will
-// classify the truncation itself.
-func salvageContainerSections(data []byte) (ncomp int, packed, inner []byte, innerOff int, sealBroken bool, err error) {
-	ncomp, off, end, sealBroken, err := salvageContainerHeader(data)
-	if err != nil {
-		return 0, nil, nil, 0, sealBroken, err
-	}
-	body := data[:end]
-	if off+8 > len(body) {
-		return 0, nil, nil, 0, sealBroken, streamerr.Truncated("container", "patch length cut off").WithOffset(int64(off))
-	}
-	plen := binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	if plen > uint64(len(body)-off) {
-		return 0, nil, nil, 0, sealBroken, streamerr.Truncated("patch", "patch claims %d bytes, %d remain", plen, len(body)-off).WithOffset(int64(off))
-	}
-	packed = body[off : off+int(plen)]
-	off += int(plen)
-	if off+8 > len(body) {
-		return 0, nil, nil, 0, sealBroken, streamerr.Truncated("container", "inner length cut off").WithOffset(int64(off))
-	}
-	ilen := binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	if ilen > uint64(len(body)-off) {
-		ilen = uint64(len(body) - off)
-	}
-	return ncomp, packed, body[off : off+int(ilen)], off, sealBroken, nil
-}
-
-// VerifyAll is the exhaustive counterpart of Verify: every integrity
-// failure of the container (or TSPQ sequence) and its inner stream is
-// reported in stream order instead of only the first. Inner-stream offsets
-// are shifted to absolute container offsets. An empty result means the
+// VerifyAll checks every integrity layer of a container (or TSPQ sequence)
+// and its inner stream — header CRCs, trailers, section framing, the
+// correction patch and every per-chunk checksum — and returns one typed
+// failure per violation in stream order: the container seal, its framing,
+// the patch, then the inner stream's failures with offsets shifted to
+// absolute container offsets. That is the order strict decode checks
+// them in, so the first entry carries the class Decompress returns for
+// damage the checksums or the framing reveal. An empty result means the
 // archive verifies completely.
 func VerifyAll(data []byte) []*streamerr.Error {
 	if len(data) >= 4 && string(data[:4]) == seqMagic {
@@ -286,20 +218,21 @@ func verifyAllContainer(data []byte, prefix string) []*streamerr.Error {
 		}
 		return fails
 	}
-	ncomp, packed, inner, innerOff, sealBroken, err := salvageContainerSections(data)
-	if err != nil {
+	add(func() (err error) {
+		defer streamerr.Guard("container", &err)
+		c, seal, err := readContainer(data)
+		add(seal)
+		if err != nil {
+			return err
+		}
+		add(c.extent)
+		_, err = unmarshalPatch(c.packed, c.ncomp)
 		add(err)
-		return fails
-	}
-	if sealBroken {
-		add(streamerr.Corrupt("container trailer", "container trailer CRC32C or length mismatch"))
-	}
-	if _, perr := unmarshalPatch(packed, ncomp); perr != nil {
-		add(perr)
-	}
-	for _, se := range shiftOffsets(cpsz.VerifyAll(inner), int64(innerOff)) {
-		add(se)
-	}
+		for _, se := range shiftOffsets(cpsz.VerifyAll(c.inner), int64(c.innerOff)) {
+			add(se)
+		}
+		return nil
+	}())
 	return fails
 }
 

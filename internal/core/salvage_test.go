@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -43,18 +42,16 @@ func patchedFixture(t *testing.T) ([]byte, *field.Field, int) {
 	return res.Bytes, f, res.Stats.PatchedVertices
 }
 
-// containerLayout locates the patch and inner-stream extents of a v3
+// containerLayout locates the patch and inner-stream extents of a
 // container.
 func containerLayout(t *testing.T, data []byte) (patchOff, patchLen, innerOff, innerLen int) {
 	t.Helper()
-	if string(data[:4]) != containerMagic || data[4] != containerV3 {
-		t.Fatalf("not a v3 container")
+	if string(data[:4]) != containerMagic || data[4] != containerVersion {
+		t.Fatalf("not a current-format container")
 	}
-	off := containerHeaderBytes + containerCRCBytes
-	plen := int(binary.LittleEndian.Uint64(data[off:]))
-	patchOff = off + 8
-	ilen := int(binary.LittleEndian.Uint64(data[patchOff+plen:]))
-	return patchOff, plen, patchOff + plen + 8, ilen
+	patchOff = containerHeaderBytes + containerCRCBytes + 8
+	innerOff, innerLen = innerExtent(data)
+	return patchOff, innerOff - 8 - patchOff, innerOff, innerLen
 }
 
 // resealArchive recomputes the inner stream trailer and the container
@@ -62,10 +59,7 @@ func containerLayout(t *testing.T, data []byte) (patchOff, patchLen, innerOff, i
 func resealArchive(t *testing.T, b []byte) []byte {
 	t.Helper()
 	_, _, innerOff, innerLen := containerLayout(t, b)
-	inner := b[innerOff : innerOff+innerLen]
-	binary.LittleEndian.PutUint32(inner[len(inner)-4:], crc32.Checksum(inner[:len(inner)-4], crcTable))
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTable))
-	return b
+	return resealContainer(b, innerOff, innerLen)
 }
 
 // TestCoreSalvageClean checks salvage of an intact TspSZ-i archive is a
@@ -321,6 +315,73 @@ func TestCoreVerifyAllSequenceFrames(t *testing.T) {
 		}
 		if fe.Offset >= 0 && fe.Offset < int64(f1) {
 			t.Fatalf("offset %d not rebased past frame 1 start %d: %v", fe.Offset, f1, fe)
+		}
+	}
+}
+
+// TestCoreVerifyAllPatchLengthFlip flips the high bit of each byte of the
+// patch-length field (container bytes 12–19) whose weight pushes the claim
+// past the container, without resealing: the scan must report the broken
+// container seal first, with the class strict decode returns, then the
+// patch framing failure behind it.
+func TestCoreVerifyAllPatchLengthFlip(t *testing.T) {
+	data, _, _ := patchedFixture(t)
+	lenField := containerHeaderBytes + containerCRCBytes
+	for at := lenField + 1; at < lenField+8; at++ {
+		mut := append([]byte(nil), data...)
+		mut[at] ^= 0x80
+		_, err := Decompress(mut, 0)
+		fails := VerifyAll(mut)
+		if len(fails) < 2 {
+			t.Fatalf("patch-length byte %d: want seal and patch failures, got %v", at, fails)
+		}
+		if fails[0].Section != "container trailer" || !errors.Is(fails[0], streamerr.ErrCorrupt) {
+			t.Fatalf("patch-length byte %d: first failure %v, want the container seal", at, fails[0])
+		}
+		if !errors.Is(err, streamerr.ErrCorrupt) {
+			t.Fatalf("patch-length byte %d: strict decode %v, want ErrCorrupt", at, err)
+		}
+		if fails[1].Section != "patch" {
+			t.Fatalf("patch-length byte %d: second failure %v, want the patch", at, fails[1])
+		}
+	}
+}
+
+// TestCoreVerifyAllTruncatedMatchesDecode cuts a container in half: the
+// broken seal is a truncation, and the scan must say so first — as strict
+// decode does — rather than a generic corruption.
+func TestCoreVerifyAllTruncatedMatchesDecode(t *testing.T) {
+	data, _, _ := patchedFixture(t)
+	for _, cut := range []int{len(data) / 2, len(data) - 1, len(data) - containerTrailerBytes} {
+		half := data[:cut]
+		_, err := Decompress(half, 0)
+		fails := VerifyAll(half)
+		if len(fails) == 0 {
+			t.Fatalf("cut at %d verified", cut)
+		}
+		for _, kind := range []error{streamerr.ErrTruncated, streamerr.ErrCorrupt} {
+			if errors.Is(err, kind) != errors.Is(fails[0], kind) {
+				t.Fatalf("cut at %d: decode %v, scan first reports %v", cut, err, fails[0])
+			}
+		}
+	}
+}
+
+// TestCoreVersionRefused checks every container version byte but the
+// current one is refused with ErrVersion by decode, the scan and salvage.
+func TestCoreVersionRefused(t *testing.T) {
+	data, _, _ := patchedFixture(t)
+	for _, v := range []byte{1, 2, 4} {
+		mut := append([]byte(nil), data...)
+		mut[4] = v
+		if _, err := Decompress(mut, 0); !errors.Is(err, streamerr.ErrVersion) {
+			t.Errorf("container version %d: Decompress got %v, want ErrVersion", v, err)
+		}
+		if fails := VerifyAll(mut); len(fails) != 1 || !errors.Is(fails[0], streamerr.ErrVersion) {
+			t.Errorf("container version %d: VerifyAll got %v, want one ErrVersion", v, fails)
+		}
+		if _, _, err := Salvage(mut, 0); !errors.Is(err, streamerr.ErrVersion) {
+			t.Errorf("container version %d: Salvage got %v, want ErrVersion", v, err)
 		}
 	}
 }

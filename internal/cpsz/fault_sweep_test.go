@@ -1,49 +1,38 @@
 package cpsz
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	"tspsz/internal/ebound"
 	"tspsz/internal/faultinject"
+	"tspsz/internal/streamerr"
 )
 
 // TestFaultSweep is the byte-level crash-proofing proof for the cpSZ layer:
-// it flips bits in EVERY byte of a v2 (checksum-less), v3 (CRC-sealed),
-// and v4 (CRC + chunk modes) archive, truncates at every offset, and
+// it flips bits in EVERY byte of an archive, truncates at every offset, and
 // applies seeded random zero/duplicate-range mutations; every outcome must
 // be either a streamerr-typed error or a structurally sound decode — never
-// a panic, and (for v3+, where CRC32C detects all single-bit errors) never
-// a silent success. The v4 sweep therefore also covers every chunk mode
-// byte and every packed-chunk base/width byte the archive carries. Decode
-// runs with workers=4 so the mutations also exercise the parallel inflate
-// path, and the test asserts the sweep leaks no goroutines.
+// a panic, and (CRC32C detects all single-bit errors) never a silent
+// success. The sweep therefore also covers every chunk mode byte and every
+// packed-chunk base/width byte the archive carries. Decode runs with
+// workers=4 so the mutations also exercise the parallel inflate path, and
+// the test asserts the sweep leaks no goroutines.
 func TestFaultSweep(t *testing.T) {
 	f := gyre2D(16, 12)
-	opts := Options{Mode: ebound.Absolute, ErrBound: 0.05, Workers: 1}
-	res, err := Compress(f, opts)
+	res, err := Compress(f, Options{Mode: ebound.Absolute, ErrBound: 0.05, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4 := res.Bytes
-	_, ebSyms, quantSyms, raw, err := parse(nil, v4, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := serializeV3(t, f, opts, ebSyms, quantSyms, raw)
-	v2 := serializeV2(t, f, opts, ebSyms, quantSyms, raw)
-
 	before := runtime.NumGoroutine()
-	sweepArchive(t, "v4", v4, true)
-	sweepArchive(t, "v3", v3, true)
-	sweepArchive(t, "v2", v2, false)
+	sweepArchive(t, "v4", res.Bytes)
 	checkNoGoroutineLeak(t, before)
 }
 
 // sweepArchive runs the three mutation families against one archive.
-// hasCRC marks a v3+ archive, where every single-bit flip must be detected.
-func sweepArchive(t *testing.T, name string, stream []byte, hasCRC bool) {
+func sweepArchive(t *testing.T, name string, stream []byte) {
 	t.Helper()
 	bits := []uint{0, 1, 2, 3, 4, 5, 6, 7}
 	if testing.Short() {
@@ -54,7 +43,7 @@ func sweepArchive(t *testing.T, name string, stream []byte, hasCRC bool) {
 			bit := (b + uint(i)) % 8 // vary the bit with position in short mode
 			mut := faultinject.FlipBit(stream, i, bit)
 			err := decodeMutant(t, name, "flip", i, mut)
-			if hasCRC && err == nil {
+			if err == nil {
 				t.Fatalf("%s: single-bit flip at byte %d bit %d decoded silently", name, i, bit)
 			}
 		}
@@ -75,7 +64,8 @@ func sweepArchive(t *testing.T, name string, stream []byte, hasCRC bool) {
 }
 
 // decodeMutant decodes and checksum-scans one mutant, asserting the shared
-// contract: typed failure or structurally sound success.
+// contract: typed failure or structurally sound success, and a scan whose
+// first failure has the class strict decode reports.
 func decodeMutant(t *testing.T, name, kind string, pos int, mut []byte) error {
 	t.Helper()
 	fld, err := Decompress(mut, 4)
@@ -86,8 +76,14 @@ func decodeMutant(t *testing.T, name, kind string, pos int, mut []byte) error {
 	} else if fld == nil || fld.NumVertices() == 0 {
 		t.Fatalf("%s: %s at %d: nil/empty field with nil error", name, kind, pos)
 	}
-	if verr := Verify(mut); verr != nil && !streamErrTyped(verr) {
-		t.Fatalf("%s: %s at %d: untyped verify error: %v", name, kind, pos, verr)
+	fails := VerifyAll(mut)
+	for _, fe := range fails {
+		if !streamErrTyped(fe) {
+			t.Fatalf("%s: %s at %d: untyped verify error: %v", name, kind, pos, fe)
+		}
+	}
+	if err != nil && len(fails) > 0 && !sameClass(err, fails[0]) {
+		t.Fatalf("%s: %s at %d: decode failed with %v but the scan first reports %v", name, kind, pos, err, fails[0])
 	}
 	return err
 }
@@ -105,4 +101,14 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// sameClass reports whether a and b carry the same streamerr failure class.
+func sameClass(a, b error) bool {
+	for _, kind := range []error{streamerr.ErrTruncated, streamerr.ErrCorrupt, streamerr.ErrVersion, streamerr.ErrHeader} {
+		if errors.Is(a, kind) != errors.Is(b, kind) {
+			return false
+		}
+	}
+	return true
 }

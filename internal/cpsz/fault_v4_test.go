@@ -29,10 +29,10 @@ type chunkRef struct {
 // exactly on the trailer.
 func walkV4(t testing.TB, data []byte) []chunkRef {
 	t.Helper()
-	if len(data) < headerBytesV3+trailerBytes || data[4] != formatV4 {
+	if len(data) < sealedHeaderBytes+trailerBytes || data[4] != formatVersion {
 		t.Fatalf("not a v4 archive (%d bytes)", len(data))
 	}
-	off := headerBytesV3
+	off := sealedHeaderBytes
 	var refs []chunkRef
 	for _, sec := range []struct {
 		name    string
@@ -145,9 +145,11 @@ func TestV4ModeByteLies(t *testing.T) {
 					t.Errorf("%s/%s chunk@%d mode %d->%d: untyped error: %v",
 						tc.name, r.section, r.modeOff, r.mode, lie, err)
 				}
-				if verr := Verify(mut); verr != nil && !streamErrTyped(verr) {
-					t.Errorf("%s/%s chunk@%d mode %d->%d: untyped verify error: %v",
-						tc.name, r.section, r.modeOff, r.mode, lie, verr)
+				for _, fe := range VerifyAll(mut) {
+					if !streamErrTyped(fe) {
+						t.Errorf("%s/%s chunk@%d mode %d->%d: untyped verify error: %v",
+							tc.name, r.section, r.modeOff, r.mode, lie, fe)
+					}
 				}
 			}
 		}
@@ -203,7 +205,7 @@ func goodPackedPayload(syms []uint32, k uint8) []byte {
 // the whole payload, payloads whose length disagrees with the declared
 // width, and directory entries whose sizes disagree with the packed
 // contract. The per-chunk CRC is sealed over each lying payload, so
-// rejection must come from parseSymbolSection's validation, not checksums.
+// rejection must come from the section reader's validation, not checksums.
 func TestPackedSectionLies(t *testing.T) {
 	syms := make([]uint32, 500)
 	for i := range syms {
@@ -213,7 +215,7 @@ func TestPackedSectionLies(t *testing.T) {
 
 	// Control: the honest section round-trips through the packed path.
 	sec := packedSection(t, syms, good, len(good), len(good))
-	got, off, err := parseSymbolSection(nil, sec, 0, 2, formatV4, "test", nil)
+	got, _, off, err := parseSection(nil, sec, 0, 0, 2, nil)
 	if err != nil {
 		t.Fatalf("honest packed section: %v", err)
 	}
@@ -250,7 +252,7 @@ func TestPackedSectionLies(t *testing.T) {
 	for _, lie := range lies {
 		t.Run(lie.name, func(t *testing.T) {
 			sec := packedSection(t, syms, lie.payload, lie.usize, lie.csize)
-			_, _, err := parseSymbolSection(nil, sec, 0, 2, formatV4, "test", nil)
+			_, _, _, err := parseSection(nil, sec, 0, 0, 2, nil)
 			if err == nil {
 				t.Fatal("lying packed chunk parsed without error")
 			}

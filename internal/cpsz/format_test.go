@@ -15,144 +15,13 @@ import (
 	"tspsz/internal/streamerr"
 )
 
-// appendLegacyHeader writes the 28-byte fixed header shared by v1 and v2
-// (no CRC seal) with the given version byte.
-func appendLegacyHeader(dst []byte, version byte, f *field.Field, opts Options) []byte {
-	dst = append(dst, streamMagic...)
-	dst = append(dst, version, byte(f.Dim()), byte(opts.Mode))
-	pb := byte(opts.Predictor)
-	if opts.Reference != nil {
-		pb |= temporalFlag
-	}
-	dst = append(dst, pb)
-	nx, ny, nz := f.Grid.Dims()
-	for _, v := range []uint32{uint32(nx), uint32(ny), uint32(nz)} {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	var eb bytes.Buffer
-	_ = binary.Write(&eb, binary.LittleEndian, opts.ErrBound)
-	return append(dst, eb.Bytes()...)
-}
-
-// serializeV1 writes the legacy single-stream layout: whole-section
-// Huffman passes wrapped in length-prefixed DEFLATE payloads. The
-// production writer emits v4 only; this copy exists so cross-version
-// tests and fuzz seeds can mint fresh v1 archives.
-func serializeV1(f *field.Field, opts Options, ebSyms, quantSyms []uint32, raw []byte) ([]byte, error) {
-	out := appendLegacyHeader(nil, formatV1, f, opts)
-	encEb, err := huffman.Encode(ebSyms)
-	if err != nil {
-		return nil, err
-	}
-	encQuant, err := huffman.Encode(quantSyms)
-	if err != nil {
-		return nil, err
-	}
-	for _, section := range [][]byte{encEb, encQuant, raw} {
-		packed, err := deflate(section)
-		if err != nil {
-			return nil, err
-		}
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(packed)))
-		out = append(out, packed...)
-	}
-	return out, nil
-}
-
-// serializeV2 writes the chunked layout without integrity metadata: the
-// 28-byte unsealed header, CRC-less chunk directories, and no trailer —
-// exactly what the PR-2 writer emitted. It exists so cross-version tests
-// and fuzz seeds can mint fresh v2 archives.
-func serializeV2(t testing.TB, f *field.Field, opts Options, ebSyms, quantSyms []uint32, raw []byte) []byte {
-	t.Helper()
-	return appendLegacySections(t, appendLegacyHeader(nil, formatV2, f, opts), formatV2, ebSyms, quantSyms, raw)
-}
-
-// serializeV3 writes the CRC-sealed chunked layout without mode tags —
-// exactly what the PR-4 writer emitted — so cross-version tests and fuzz
-// seeds can mint fresh v3 archives.
-func serializeV3(t testing.TB, f *field.Field, opts Options, ebSyms, quantSyms []uint32, raw []byte) []byte {
-	t.Helper()
-	out := appendLegacyHeader(nil, formatV3, f, opts)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[:headerBytes], crcTable))
-	out = appendLegacySections(t, out, formatV3, ebSyms, quantSyms, raw)
-	return appendTrailer(out)
-}
-
-// appendLegacySections writes the three chunked sections in the v2 or v3
-// directory layout (CRC column for v3, never a mode byte).
-func appendLegacySections(t testing.TB, out []byte, version byte, ebSyms, quantSyms []uint32, raw []byte) []byte {
-	t.Helper()
-	withCRC := version >= formatV3
-	for _, syms := range [][]uint32{ebSyms, quantSyms} {
-		out = binary.AppendUvarint(out, uint64(len(syms)))
-		if len(syms) == 0 {
-			continue
-		}
-		sec := buildSymbolSection(t, syms, version, nil)
-		// buildSymbolSection repeats the symbol count; skip it.
-		_, n := binary.Uvarint(sec)
-		out = append(out, sec[n:]...)
-	}
-	out = binary.AppendUvarint(out, uint64(len(raw)))
-	if len(raw) > 0 {
-		bounds := parallel.Ranges(len(raw), chunkCount(len(raw), chunkRawBytes))
-		var payload []byte
-		var dir []byte
-		for _, b := range bounds {
-			packed, err := deflate(raw[b[0]:b[1]])
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir = binary.AppendUvarint(dir, uint64(b[1]-b[0]))
-			dir = binary.AppendUvarint(dir, uint64(len(packed)))
-			if withCRC {
-				dir = binary.LittleEndian.AppendUint32(dir, crc32.Checksum(packed, crcTable))
-			}
-			payload = append(payload, packed...)
-		}
-		out = binary.AppendUvarint(out, uint64(len(bounds)))
-		out = append(out, dir...)
-		out = append(out, payload...)
-	}
-	return out
-}
-
-// rewriteAsV1 converts a current-format archive into the equivalent v1
-// archive by re-serializing its parsed sections through the legacy writer.
-func rewriteAsV1(t *testing.T, f *field.Field, opts Options, cur []byte) []byte {
-	t.Helper()
-	_, ebSyms, quantSyms, raw, err := parse(nil, cur, 1, nil)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	v1, err := serializeV1(f, opts, ebSyms, quantSyms, raw)
-	if err != nil {
-		t.Fatalf("serializeV1: %v", err)
-	}
-	return v1
-}
-
-// rewriteAsV2 converts a current-format archive into the equivalent v2
-// archive through the CRC-less legacy chunked writer.
-func rewriteAsV2(t *testing.T, f *field.Field, opts Options, cur []byte) []byte {
-	t.Helper()
-	_, ebSyms, quantSyms, raw, err := parse(nil, cur, 1, nil)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return serializeV2(t, f, opts, ebSyms, quantSyms, raw)
-}
-
-// rewriteAsV3 converts a current-format archive into the equivalent v3
-// archive through the CRC-sealed, mode-less legacy chunked writer.
-func rewriteAsV3(t *testing.T, f *field.Field, opts Options, cur []byte) []byte {
-	t.Helper()
-	_, ebSyms, quantSyms, raw, err := parse(nil, cur, 1, nil)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return serializeV3(t, f, opts, ebSyms, quantSyms, raw)
+// deflate DEFLATE-compresses data into a fresh slice, for test writers
+// that hand-build sections.
+func deflate(data []byte) ([]byte, error) {
+	s := getScratch()
+	out, err := s.deflate(nil, data)
+	putScratch(s)
+	return out, err
 }
 
 func fieldsEqual(t *testing.T, a, b *field.Field) {
@@ -167,56 +36,6 @@ func fieldsEqual(t *testing.T, a, b *field.Field) {
 				t.Fatalf("component %d vertex %d: %v != %v", c, i, comp[i], other[i])
 			}
 		}
-	}
-}
-
-// TestCrossVersionDecode guards the compatibility promise: v1, v2, and v3
-// archives of the same sections must decode to the exact field the v4
-// archive produces, at every worker count.
-func TestCrossVersionDecode(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		f    *field.Field
-		opts Options
-	}{
-		{"2D-abs", gyre2D(48, 40), Options{Mode: ebound.Absolute, ErrBound: 0.01, Workers: 2}},
-		{"2D-rel", gyre2D(40, 32), Options{Mode: ebound.Relative, ErrBound: 0.05, Workers: 2}},
-		{"3D-abs", turb3D(16), Options{Mode: ebound.Absolute, ErrBound: 0.02, Workers: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := Compress(tc.f, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Bytes[4] != formatVersion {
-				t.Fatalf("writer emitted version %d, want %d", res.Bytes[4], formatVersion)
-			}
-			v1 := rewriteAsV1(t, tc.f, tc.opts, res.Bytes)
-			if v1[4] != formatV1 {
-				t.Fatalf("legacy writer emitted version %d", v1[4])
-			}
-			v2 := rewriteAsV2(t, tc.f, tc.opts, res.Bytes)
-			if v2[4] != formatV2 {
-				t.Fatalf("legacy chunked writer emitted version %d", v2[4])
-			}
-			v3 := rewriteAsV3(t, tc.f, tc.opts, res.Bytes)
-			if v3[4] != formatV3 {
-				t.Fatalf("legacy sealed writer emitted version %d", v3[4])
-			}
-			want, err := Decompress(res.Bytes, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				for name, legacy := range map[string][]byte{"v1": v1, "v2": v2, "v3": v3} {
-					got, err := Decompress(legacy, workers)
-					if err != nil {
-						t.Fatalf("%s decode (workers=%d): %v", name, workers, err)
-					}
-					fieldsEqual(t, want, got)
-				}
-			}
-		})
 	}
 }
 
@@ -235,8 +54,8 @@ func TestV4DeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Bytes[4] != formatV4 {
-			t.Fatalf("writer emitted version %d, want %d", res.Bytes[4], formatV4)
+		if res.Bytes[4] != formatVersion {
+			t.Fatalf("writer emitted version %d, want %d", res.Bytes[4], formatVersion)
 		}
 		dec, err := Decompress(res.Bytes, workers)
 		if err != nil {
@@ -255,11 +74,12 @@ func TestV4DeterministicAcrossWorkerCounts(t *testing.T) {
 
 // buildSymbolSection mirrors appendSymbolSection but lets the test tamper
 // with the chunk directory before it is written, to model corrupt or
-// adversarial archives. The version byte selects the directory layout: the
-// CRC column appears for v3+, the mode column for v4. Every chunk is
-// written in Huffman mode; the modes slice passed to tamper (ignored
-// pre-v4) lets a lie claim otherwise.
-func buildSymbolSection(t testing.TB, syms []uint32, version byte, tamper func(cc *uint64, usizes, csizes []uint64, crcs []uint32, modes []byte)) []byte {
+// adversarial archives. The layout byte selects the directory columns:
+// formatVersion writes the v4 directory, while the retired layouts, which
+// no reader accepts, drop the mode column (v3) and the CRC column too (v2).
+// Every chunk is written in Huffman mode; the modes slice passed to tamper
+// lets a lie claim otherwise.
+func buildSymbolSection(t testing.TB, syms []uint32, layout byte, tamper func(cc *uint64, usizes, csizes []uint64, crcs []uint32, modes []byte)) []byte {
 	t.Helper()
 	table, err := huffman.BuildTable(syms, 1)
 	if err != nil {
@@ -292,10 +112,10 @@ func buildSymbolSection(t testing.TB, syms []uint32, version byte, tamper func(c
 	for i := range usizes {
 		out = binary.AppendUvarint(out, usizes[i])
 		out = binary.AppendUvarint(out, csizes[i])
-		if version >= formatV4 {
+		if layout >= formatVersion {
 			out = append(out, modes[i])
 		}
-		if version >= formatV3 {
+		if layout >= 3 {
 			out = binary.LittleEndian.AppendUint32(out, crcs[i])
 		}
 	}
@@ -310,64 +130,102 @@ func manySyms(n int) []uint32 {
 	return syms
 }
 
-// TestChunkDirectoryLies drives parseSymbolSection with directories that
-// lie about chunk counts, sizes, and modes: every lie must surface as a
-// streamerr-typed error — never a panic, hang, or silent mis-decode. The
-// v2 (CRC-less), v3 (CRC), and v4 (CRC + mode) directory layouts are all
-// exercised.
+// legacyArchive frames a symbol section built in a retired directory
+// layout (v2 or v3) as an archive of that version: the unsealed fixed
+// header for v2; for v3 the sealed header and the whole-stream trailer.
+// The section is the eb section; the quant and raw sections are empty.
+func legacyArchive(layout byte, sec []byte) []byte {
+	out := appendHeader(nil, header{dim: 2, nx: 2, ny: 2, errBound: 0.01})[:headerBytes]
+	out[4] = layout
+	if layout >= 3 {
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+	}
+	out = append(out, sec...)
+	out = append(out, 0, 0) // empty quant and raw sections
+	if layout >= 3 {
+		out = appendTrailer(out)
+	}
+	return out
+}
+
+// wantVersionRefused asserts that strict decode, the checksum scan and
+// salvage all refuse data with ErrVersion alone.
+func wantVersionRefused(t *testing.T, data []byte) {
+	t.Helper()
+	if _, err := Decompress(data, 1); !errors.Is(err, streamerr.ErrVersion) {
+		t.Errorf("version %d: Decompress got %v, want ErrVersion", data[4], err)
+	}
+	if fails := VerifyAll(data); len(fails) != 1 || !errors.Is(fails[0], streamerr.ErrVersion) {
+		t.Errorf("version %d: VerifyAll got %v, want one ErrVersion", data[4], fails)
+	}
+	if _, _, err := Salvage(data, 1); !errors.Is(err, streamerr.ErrVersion) {
+		t.Errorf("version %d: Salvage got %v, want ErrVersion", data[4], err)
+	}
+}
+
+// TestChunkDirectoryLies drives the section reader with directories that
+// lie about chunk counts, sizes, checksums, and modes: every lie must
+// surface as a streamerr-typed error — never a panic, hang, or silent
+// mis-decode. The lies also run in the retired v2 (CRC-less) and v3
+// (mode-less) directory layouts: the section reader, handed such a
+// directory, must still answer with a typed error, and an archive of that
+// version carrying it must be refused with ErrVersion by decode, the
+// checksum scan and salvage alike, before any directory byte is read.
 func TestChunkDirectoryLies(t *testing.T) {
 	syms := manySyms(3*chunkSymbols + 1000) // 4 chunks
 	lies := []struct {
-		name       string
-		minVersion byte
-		tamper     func(cc *uint64, usizes, csizes []uint64, crcs []uint32, modes []byte)
+		name      string
+		minLayout byte
+		tamper    func(cc *uint64, usizes, csizes []uint64, crcs []uint32, modes []byte)
 	}{
-		{"chunk-count-zero", formatV2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 0 }},
-		{"chunk-count-low", formatV2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 1 }},
-		{"chunk-count-high", formatV2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 9 }},
-		{"chunk-count-huge", formatV2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 1 << 40 }},
-		{"usize-zero", formatV2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[0] = 0 }},
-		{"usize-short", formatV2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[1]-- }},
-		{"usize-long", formatV2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[1]++ }},
-		{"usize-bomb", formatV2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[2] = 1 << 40 }},
-		{"csize-overlap", formatV2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[0]++ }}, // chunk 1 starts inside chunk 0
-		{"csize-short", formatV2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[2]-- }},
-		{"csize-huge", formatV2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[3] = 1 << 40 }},
-		{"crc-flip", formatV3, func(_ *uint64, _, _ []uint64, crcs []uint32, _ []byte) { crcs[1] ^= 1 }},
-		{"crc-zero", formatV3, func(_ *uint64, _, _ []uint64, crcs []uint32, _ []byte) { crcs[3] = 0 }},
-		{"mode-unknown", formatV4, func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[1] = maxChunkMode + 1 }},
-		{"mode-flip-to-packed", formatV4, func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[0] = symChunkPacked }},
+		{"chunk-count-zero", 2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 0 }},
+		{"chunk-count-low", 2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 1 }},
+		{"chunk-count-high", 2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 9 }},
+		{"chunk-count-huge", 2, func(cc *uint64, _, _ []uint64, _ []uint32, _ []byte) { *cc = 1 << 40 }},
+		{"usize-zero", 2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[0] = 0 }},
+		{"usize-short", 2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[1]-- }},
+		{"usize-long", 2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[1]++ }},
+		{"usize-bomb", 2, func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[2] = 1 << 40 }},
+		{"csize-overlap", 2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[0]++ }}, // chunk 1 starts inside chunk 0
+		{"csize-short", 2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[2]-- }},
+		{"csize-huge", 2, func(_ *uint64, _, csizes []uint64, _ []uint32, _ []byte) { csizes[3] = 1 << 40 }},
+		{"crc-flip", 3, func(_ *uint64, _, _ []uint64, crcs []uint32, _ []byte) { crcs[1] ^= 1 }},
+		{"crc-zero", 3, func(_ *uint64, _, _ []uint64, crcs []uint32, _ []byte) { crcs[3] = 0 }},
+		{"mode-unknown", formatVersion, func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[1] = maxChunkMode + 1 }},
+		{"mode-flip-to-packed", formatVersion, func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[0] = symChunkPacked }},
 	}
-	for _, version := range []byte{formatV2, formatV3, formatV4} {
-		layout := "v" + strconv.Itoa(int(version))
+	for _, layout := range []byte{2, 3, formatVersion} {
 		for _, lie := range lies {
-			if lie.minVersion > version {
+			if lie.minLayout > layout {
 				continue
 			}
-			t.Run(layout+"/"+lie.name, func(t *testing.T) {
-				sec := buildSymbolSection(t, syms, version, lie.tamper)
-				_, _, err := parseSymbolSection(nil, sec, 0, 2, version, "test", nil)
+			t.Run("v"+strconv.Itoa(int(layout))+"/"+lie.name, func(t *testing.T) {
+				sec := buildSymbolSection(t, syms, layout, lie.tamper)
+				_, _, _, err := parseSection(nil, sec, 0, 0, 2, nil)
 				if err == nil {
 					t.Fatal("lying directory parsed without error")
 				}
 				if !errors.Is(err, streamerr.ErrCorrupt) && !errors.Is(err, streamerr.ErrTruncated) {
 					t.Fatalf("lie surfaced as untyped error: %v", err)
 				}
+				if layout != formatVersion {
+					wantVersionRefused(t, legacyArchive(layout, sec))
+				}
 			})
 		}
-		// Control: the untampered section round-trips.
-		sec := buildSymbolSection(t, syms, version, nil)
-		got, off, err := parseSymbolSection(nil, sec, 0, 2, version, "test", nil)
-		if err != nil {
-			t.Fatalf("%s untampered section: %v", layout, err)
-		}
-		if off != len(sec) {
-			t.Fatalf("consumed %d of %d bytes", off, len(sec))
-		}
-		for i := range syms {
-			if got[i] != syms[i] {
-				t.Fatalf("symbol %d: got %d, want %d", i, got[i], syms[i])
-			}
+	}
+	// Control: the untampered section round-trips.
+	sec := buildSymbolSection(t, syms, formatVersion, nil)
+	got, _, off, err := parseSection(nil, sec, 0, 0, 2, nil)
+	if err != nil {
+		t.Fatalf("untampered section: %v", err)
+	}
+	if off != len(sec) {
+		t.Fatalf("consumed %d of %d bytes", off, len(sec))
+	}
+	for i := range syms {
+		if got[i] != syms[i] {
+			t.Fatalf("symbol %d: got %d, want %d", i, got[i], syms[i])
 		}
 	}
 }
@@ -376,40 +234,19 @@ func TestChunkDirectoryLies(t *testing.T) {
 // boundary inside its directory; every prefix must error.
 func TestTruncatedDirectory(t *testing.T) {
 	syms := manySyms(2*chunkSymbols + 10)
-	for _, version := range []byte{formatV2, formatV3, formatV4} {
-		sec := buildSymbolSection(t, syms, version, nil)
-		// The directory sits between the codebook and the payload; cutting
-		// anywhere before the payload end must fail.
-		for cut := 0; cut < len(sec); cut += 7 {
-			if _, _, err := parseSymbolSection(nil, sec[:cut], 0, 1, version, "test", nil); err == nil {
-				t.Fatalf("section truncated to %d of %d bytes parsed (v%d)", cut, len(sec), version)
-			}
+	sec := buildSymbolSection(t, syms, formatVersion, nil)
+	// The directory sits between the codebook and the payload; cutting
+	// anywhere before the payload end must fail.
+	for cut := 0; cut < len(sec); cut += 7 {
+		if _, _, _, err := parseSection(nil, sec[:cut], 0, 0, 1, nil); err == nil {
+			t.Fatalf("section truncated to %d of %d bytes parsed", cut, len(sec))
 		}
 	}
 }
 
-// TestV1InflateCapRejectsOversize guards the v1 reader's allocation cap: a
-// section whose DEFLATE payload inflates beyond any size a valid archive
-// could back is rejected instead of materialized.
-func TestV1InflateCapRejectsOversize(t *testing.T) {
-	// A payload of highly compressible bytes inflates ~1000x; with the cap
-	// forced low the reader must reject it rather than allocate.
-	big := make([]byte, 1<<20)
-	packed, err := deflate(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inflateCap(packed, 1<<10); err == nil {
-		t.Fatal("payload inflating past the cap was accepted")
-	}
-	if got, err := inflateCap(packed, 1<<20); err != nil || len(got) != len(big) {
-		t.Fatalf("payload within cap rejected: %v", err)
-	}
-}
-
-// TestV2RejectsTrailingBytes: v2 archives are exact — trailing junk after
-// the final section is corruption, not padding.
-func TestV2RejectsTrailingBytes(t *testing.T) {
+// TestRejectsTrailingBytes: archives are exact — trailing junk after the
+// final section is corruption, not padding.
+func TestRejectsTrailingBytes(t *testing.T) {
 	res, err := Compress(gyre2D(16, 12), Options{Mode: ebound.Absolute, ErrBound: 0.05, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -419,9 +256,9 @@ func TestV2RejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestV3HeaderCRC: any damage to the fixed header or its stored CRC is
+// TestHeaderCRC: any damage to the fixed header or its stored CRC is
 // reported as corruption, not decoded on faith.
-func TestV3HeaderCRC(t *testing.T) {
+func TestHeaderCRC(t *testing.T) {
 	res, err := Compress(gyre2D(24, 20), Options{Mode: ebound.Absolute, ErrBound: 0.01, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -433,17 +270,15 @@ func TestV3HeaderCRC(t *testing.T) {
 		if err == nil {
 			t.Fatalf("header byte %d flipped, decode succeeded", flip)
 		}
-		// Flipping the version byte surfaces as ErrVersion; everything else
-		// under the seal must be ErrCorrupt.
-		if !errors.Is(err, streamerr.ErrCorrupt) && !errors.Is(err, streamerr.ErrVersion) {
-			t.Fatalf("header byte %d: untyped error %v", flip, err)
+		if !errors.Is(err, streamerr.ErrCorrupt) {
+			t.Fatalf("header byte %d: got %v, want ErrCorrupt", flip, err)
 		}
 	}
 }
 
-// TestV3TrailerLies: the trailer's declared payload length and stream CRC
+// TestTrailerLies: the trailer's declared payload length and stream CRC
 // are both load-bearing.
-func TestV3TrailerLies(t *testing.T) {
+func TestTrailerLies(t *testing.T) {
 	res, err := Compress(gyre2D(24, 20), Options{Mode: ebound.Absolute, ErrBound: 0.01, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -473,9 +308,9 @@ func TestV3TrailerLies(t *testing.T) {
 	}
 }
 
-// TestVerify: the checksum scan accepts intact v3 archives, pinpoints
-// payload damage without decoding, and reports pre-v3 archives (which
-// carry no checksums) as ErrVersion.
+// TestVerify: the checksum scan accepts intact archives, pinpoints payload
+// damage without decoding, and refuses every version byte but the current
+// one with ErrVersion — through strict decode, the scan and salvage alike.
 func TestVerify(t *testing.T) {
 	f := gyre2D(64, 48)
 	opts := Options{Mode: ebound.Absolute, ErrBound: 0.01, Workers: 2}
@@ -483,26 +318,23 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(res.Bytes); err != nil {
-		t.Fatalf("intact archive failed verification: %v", err)
+	if fails := VerifyAll(res.Bytes); len(fails) != 0 {
+		t.Fatalf("intact archive failed verification: %v", fails)
 	}
 	// Flip one payload byte past the header: either a chunk CRC or the
 	// stream CRC must catch it.
 	bad := append([]byte{}, res.Bytes...)
 	bad[len(bad)/2] ^= 0x40
-	if err := Verify(bad); !errors.Is(err, streamerr.ErrCorrupt) {
-		t.Fatalf("flipped payload byte: got %v, want ErrCorrupt", err)
+	if fails := VerifyAll(bad); len(fails) == 0 || !errors.Is(fails[0], streamerr.ErrCorrupt) {
+		t.Fatalf("flipped payload byte: got %v, want ErrCorrupt first", fails)
 	}
-	if err := Verify(rewriteAsV2(t, f, opts, res.Bytes)); !errors.Is(err, streamerr.ErrVersion) {
-		t.Fatalf("v2 archive: got %v, want ErrVersion", err)
+	for _, v := range []byte{1, 2, 3, 5} {
+		old := append([]byte{}, res.Bytes...)
+		old[4] = v
+		wantVersionRefused(t, old)
 	}
-	// v3 archives carry checksums but no mode column; the scan must still
-	// accept them.
-	if err := Verify(rewriteAsV3(t, f, opts, res.Bytes)); err != nil {
-		t.Fatalf("intact v3 archive failed verification: %v", err)
-	}
-	if err := Verify(nil); !errors.Is(err, streamerr.ErrTruncated) {
-		t.Fatalf("empty input: got %v, want ErrTruncated", err)
+	if fails := VerifyAll(nil); len(fails) != 1 || !errors.Is(fails[0], streamerr.ErrTruncated) {
+		t.Fatalf("empty input: got %v, want ErrTruncated", fails)
 	}
 }
 
@@ -512,28 +344,18 @@ func TestVerify(t *testing.T) {
 // alphabet stays Huffman, incompressible raw bytes are stored verbatim, and
 // compressible raw bytes stay DEFLATE — and every one of them round-trips.
 func TestV4ChunkModes(t *testing.T) {
-	readModes := func(t *testing.T, sec []byte, count int, kind int) []byte {
+	readModes := func(t *testing.T, sec []byte, count, si int) []byte {
 		t.Helper()
-		off := 0
-		n, sz := binary.Uvarint(sec)
-		if sz <= 0 || int(n) != count {
-			t.Fatalf("section count %d (consumed %d), want %d", n, sz, count)
-		}
-		off += sz
-		if kind == kindSymbols {
-			_, consumed, err := huffman.ParseTable(sec[off:], n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off += consumed
-		}
 		s := getScratch()
 		defer putScratch(s)
-		dir, _, err := parseChunkDirectory(s, sec, off, count, formatV4, kind, "test")
+		rs, _, err := readSection(s, sec, 0, si)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append([]byte{}, dir.modes...)
+		if rs.n != count {
+			t.Fatalf("section count %d, want %d", rs.n, count)
+		}
+		return append([]byte{}, rs.modes...)
 	}
 
 	// Near-uniform 64-symbol alphabet: Huffman ~6 bits/symbol vs k=6
@@ -563,12 +385,12 @@ func TestV4ChunkModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, m := range readModes(t, sec, len(tc.syms), kindSymbols) {
+			for i, m := range readModes(t, sec, len(tc.syms), 0) {
 				if m != tc.mode {
 					t.Fatalf("chunk %d wrote mode %d, want %d", i, m, tc.mode)
 				}
 			}
-			got, off, err := parseSymbolSection(nil, sec, 0, 2, formatV4, "test", nil)
+			got, _, off, err := parseSection(nil, sec, 0, 0, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -604,12 +426,12 @@ func TestV4ChunkModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, m := range readModes(t, sec, len(tc.raw), kindRaw) {
+			for i, m := range readModes(t, sec, len(tc.raw), 2) {
 				if m != tc.mode {
 					t.Fatalf("chunk %d wrote mode %d, want %d", i, m, tc.mode)
 				}
 			}
-			got, off, err := parseRawSection(nil, sec, 0, 2, formatV4, nil)
+			_, got, off, err := parseSection(nil, sec, 0, 2, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

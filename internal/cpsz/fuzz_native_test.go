@@ -16,11 +16,11 @@ func streamErrTyped(err error) bool {
 		errors.Is(err, streamerr.ErrVersion) || errors.Is(err, streamerr.ErrHeader)
 }
 
-// FuzzDecompressTruncated feeds the decompressor arbitrary mutations of
-// valid v1 through v4 streams AND every reachable byte prefix of them:
-// truncation anywhere in the header, codebook, chunk directory, packed
-// payload, or trailer must surface as a streamerr-typed error — never a
-// panic, hang, unbounded allocation, or silent success with a nil field.
+// FuzzDecompressTruncated feeds the decompressor arbitrary mutations of a
+// valid stream AND every reachable byte prefix of it: truncation anywhere
+// in the header, codebook, chunk directory, packed payload, or trailer must
+// surface as a streamerr-typed error — never a panic, hang, unbounded
+// allocation, or silent success with a nil field.
 func FuzzDecompressTruncated(f *testing.F) {
 	field2d := gyre2D(16, 12)
 	opts := Options{Mode: ebound.Absolute, ErrBound: 0.05, Workers: 1}
@@ -36,31 +36,20 @@ func FuzzDecompressTruncated(f *testing.F) {
 			f.Add(stream[:cut], uint16(cut))
 		}
 	}
-	// Legacy-layout seeds: the v1, v2, and v3 readers must stay as robust
-	// as the v4 one.
-	_, ebSyms, quantSyms, raw, err := parse(nil, stream, 1, nil)
-	if err != nil {
-		f.Fatal(err)
+	// Version-byte seeds: every generation but the current one is refused
+	// with ErrVersion before any other byte is interpreted.
+	for _, v := range []byte{0, 1, 2, 3, 5, 0xff} {
+		old := append([]byte{}, stream...)
+		old[4] = v
+		f.Add(old, uint16(0))
 	}
-	v1, err := serializeV1(field2d, opts, ebSyms, quantSyms, raw)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1, uint16(len(v1)))
-	f.Add(v1[:len(v1)/2], uint16(0))
-	v2 := serializeV2(f, field2d, opts, ebSyms, quantSyms, raw)
-	f.Add(v2, uint16(len(v2)))
-	f.Add(v2[:len(v2)/2], uint16(0))
-	v3 := serializeV3(f, field2d, opts, ebSyms, quantSyms, raw)
-	f.Add(v3, uint16(len(v3)))
-	f.Add(v3[:len(v3)/2], uint16(0))
 	// Regression seed for the unbounded-inflate crasher: a chunk directory
 	// claiming a huge uncompressed size from a tiny payload must be
 	// rejected by the size cap, not materialized by io.ReadAll.
-	bomb := buildSymbolSection(f, manySyms(chunkSymbols+10), formatV2,
+	bomb := buildSymbolSection(f, manySyms(chunkSymbols+10), formatVersion,
 		func(_ *uint64, usizes, _ []uint64, _ []uint32, _ []byte) { usizes[0] = 1 << 40 })
-	f.Add(append(append([]byte{}, stream[:headerBytes]...), bomb...), uint16(0))
-	// v4 bit-packed seeds: a section whose chunks all take the packed fast
+	f.Add(append(append([]byte{}, stream[:sealedHeaderBytes]...), bomb...), uint16(0))
+	// Bit-packed seeds: a section whose chunks all take the packed fast
 	// path, and a directory whose mode column lies about it.
 	uniform := make([]uint32, chunkSymbols+100)
 	for i := range uniform {
@@ -70,10 +59,10 @@ func FuzzDecompressTruncated(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(append([]byte{}, stream[:headerBytesV3]...), packedSec...), uint16(0))
-	modeLie := buildSymbolSection(f, manySyms(chunkSymbols+10), formatV4,
+	f.Add(append(append([]byte{}, stream[:sealedHeaderBytes]...), packedSec...), uint16(0))
+	modeLie := buildSymbolSection(f, manySyms(chunkSymbols+10), formatVersion,
 		func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[0] = symChunkPacked })
-	f.Add(append(append([]byte{}, stream[:headerBytesV3]...), modeLie...), uint16(0))
+	f.Add(append(append([]byte{}, stream[:sealedHeaderBytes]...), modeLie...), uint16(0))
 	// Packed base/width lies sealed behind a valid per-chunk CRC: the
 	// structural checks, not the checksums, must reject these.
 	for _, pl := range [][]byte{
@@ -82,17 +71,17 @@ func FuzzDecompressTruncated(f *testing.F) {
 		{0x80, 0x01}, // base uvarint swallows the width byte
 	} {
 		sec := packedSection(f, uniform[:500], pl, len(pl), len(pl))
-		f.Add(append(append([]byte{}, stream[:headerBytesV3]...), sec...), uint16(0))
+		f.Add(append(append([]byte{}, stream[:sealedHeaderBytes]...), sec...), uint16(0))
 	}
 	// A chunk mode byte flipped in a real archive with the stream trailer
 	// resealed, so every CRC passes and only per-mode validation objects.
 	flipped := append([]byte{}, stream...)
 	flipped[walkV4(f, stream)[0].modeOff] ^= 1
 	f.Add(resealTrailer(flipped), uint16(0))
-	// Checksum-tamper regression seeds: a flipped per-chunk CRC in the v3
+	// Checksum-tamper regression seeds: a flipped per-chunk CRC in the
 	// directory, and a trailer lying about the payload length.
 	crcFlip := append([]byte{}, stream...)
-	crcFlip[headerBytesV3+10] ^= 0x01
+	crcFlip[sealedHeaderBytes+10] ^= 0x01
 	f.Add(crcFlip, uint16(0))
 	lyingTrailer := append([]byte{}, stream...)
 	binary.LittleEndian.PutUint64(lyingTrailer[len(lyingTrailer)-trailerBytes:], 1<<40)
@@ -108,8 +97,10 @@ func FuzzDecompressTruncated(f *testing.F) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 		// The checksum scan obeys the same contract.
-		if err := Verify(data); err != nil && !streamErrTyped(err) {
-			t.Fatalf("untyped verify error: %v", err)
+		for _, fe := range VerifyAll(data) {
+			if !streamErrTyped(fe) {
+				t.Fatalf("untyped verify error: %v", fe)
+			}
 		}
 		// Exact prefix of the known-valid stream, length chosen by the
 		// fuzzer: only the full stream may decode successfully.
@@ -140,7 +131,7 @@ func FuzzSalvage(f *testing.F) {
 	stream := valid.Bytes
 	f.Add([]byte{})
 	f.Add(stream)
-	for _, cut := range []int{4, headerBytes, headerBytesV3, len(stream) / 2, len(stream) - trailerBytes, len(stream) - 1} {
+	for _, cut := range []int{4, headerBytes, sealedHeaderBytes, len(stream) / 2, len(stream) - trailerBytes, len(stream) - 1} {
 		f.Add(append([]byte{}, stream[:cut]...))
 	}
 	// Every chunk of the archive corrupted one at a time, trailer resealed:
@@ -159,7 +150,7 @@ func FuzzSalvage(f *testing.F) {
 	}
 	// Directory CRC column and trailer tampers.
 	crcFlip := append([]byte{}, stream...)
-	crcFlip[headerBytesV3+10] ^= 0x01
+	crcFlip[sealedHeaderBytes+10] ^= 0x01
 	f.Add(crcFlip)
 	lyingTrailer := append([]byte{}, stream...)
 	binary.LittleEndian.PutUint64(lyingTrailer[len(lyingTrailer)-trailerBytes:], 1<<40)

@@ -7,29 +7,23 @@ import (
 	"tspsz/internal/streamerr"
 )
 
-// TestSectionParsersRejectBadOffset pins the entry guards added in PR 6:
-// every section parser and scanner validates its cursor against the
-// stream before indexing, so an offset corrupted anywhere up the call
-// chain becomes a typed error, not a panic.
+// TestSectionParsersRejectBadOffset pins the section reader's entry guard:
+// it validates its cursor against the stream before indexing, so an offset
+// corrupted anywhere up the call chain becomes a typed error, not a panic.
 func TestSectionParsersRejectBadOffset(t *testing.T) {
 	data := []byte{1, 2, 3, 4}
+	s := getScratch()
+	defer putScratch(s)
 	for _, off := range []int{-1, len(data) + 1, 1 << 30} {
-		if _, _, err := parseSymbolSection(nil, data, off, 1, formatV2, "test", nil); !errors.Is(err, streamerr.ErrCorrupt) {
-			t.Errorf("parseSymbolSection(off=%d): got %v, want ErrCorrupt", off, err)
-		}
-		if _, _, err := parseRawSection(nil, data, off, 1, formatV2, nil); !errors.Is(err, streamerr.ErrCorrupt) {
-			t.Errorf("parseRawSection(off=%d): got %v, want ErrCorrupt", off, err)
-		}
-		if _, err := scanSymbolSection(data, off, formatV4, "test"); !errors.Is(err, streamerr.ErrCorrupt) {
-			t.Errorf("scanSymbolSection(off=%d): got %v, want ErrCorrupt", off, err)
-		}
-		if _, err := scanRawSection(data, off, formatV4); !errors.Is(err, streamerr.ErrCorrupt) {
-			t.Errorf("scanRawSection(off=%d): got %v, want ErrCorrupt", off, err)
+		for si := range sectionNames {
+			if _, _, err := readSection(s, data, off, si); !errors.Is(err, streamerr.ErrCorrupt) {
+				t.Errorf("readSection(off=%d, %s): got %v, want ErrCorrupt", off, sectionNames[si], err)
+			}
 		}
 	}
 	// A valid offset still parses: the guard is a boundary, not a
 	// behavior change (empty symbol section = count 0).
-	if _, off, err := parseSymbolSection(nil, []byte{0}, 0, 1, formatV2, "test", nil); err != nil || off != 1 {
-		t.Errorf("parseSymbolSection on empty section: off=%d err=%v", off, err)
+	if _, off, err := readSection(s, []byte{0}, 0, 0); err != nil || off != 1 {
+		t.Errorf("readSection on empty section: off=%d err=%v", off, err)
 	}
 }

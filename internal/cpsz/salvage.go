@@ -1,6 +1,6 @@
 package cpsz
 
-// Salvage decode: best-effort recovery of damaged v3/v4 archives. The
+// Salvage decode: best-effort recovery of damaged archives. The
 // per-chunk CRC32C directory pinpoints exactly which chunks of each section
 // are damaged, so instead of failing on the first ErrCorrupt the salvage
 // path decodes every chunk that verifies, zero-fills the fixed extents of
@@ -25,14 +25,11 @@ package cpsz
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 
 	"tspsz/internal/bitmap"
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
-	"tspsz/internal/huffman"
 	"tspsz/internal/parallel"
 	"tspsz/internal/quantizer"
 	"tspsz/internal/streamerr"
@@ -77,7 +74,6 @@ type SalvageReport struct {
 	SealBroken bool
 	// TotalVertices and DamagedVertices count the field and the vertices
 	// that could not be recovered (left zero). Damaged marks each of them.
-	// Only Salvage fills these; SalvageParse leaves them zero.
 	TotalVertices   int
 	DamagedVertices int
 	Damaged         *bitmap.Bitmap
@@ -90,15 +86,7 @@ type SalvageReport struct {
 // Clean reports a salvage that recovered everything: seal intact, no chunk
 // damaged, no section lost, no vertex zero-filled.
 func (r *SalvageReport) Clean() bool {
-	if r.SealBroken || r.DamagedVertices > 0 {
-		return false
-	}
-	for i := range r.Sections {
-		if r.Sections[i].Damaged() {
-			return false
-		}
-	}
-	return true
+	return !r.SealBroken && r.DamagedVertices == 0 && !r.anyDamage()
 }
 
 // anyDamage reports whether any section lost a chunk or its framing.
@@ -134,16 +122,13 @@ func (r *SalvageReport) overlapsDamage(si, lo, hi int) bool {
 	return false
 }
 
-// sectionNames is the fixed section order of the stream format.
-var sectionNames = [3]string{"eb-symbols", "quant-symbols", "raw"}
-
-// Salvage is the best-effort counterpart of Decompress for v3+ streams:
-// every chunk whose checksum verifies is decoded, damaged extents are
-// zero-filled, and the returned report says exactly which chunks and which
-// vertices were lost. Vertices not marked damaged are bit-identical to a
-// clean decode. The report is non-nil whenever the fixed header was
-// readable, even alongside a non-nil error; pre-v3 streams carry no
-// per-chunk checksums and fail with ErrVersion.
+// Salvage is the best-effort counterpart of Decompress: every chunk whose
+// checksum verifies is decoded, damaged extents are zero-filled, and the
+// returned report says exactly which chunks and which vertices were lost.
+// Vertices not marked damaged are bit-identical to a clean decode. The
+// report is non-nil whenever the fixed header was readable, even alongside
+// a non-nil error; a damaged fixed header, or a version byte other than the
+// one format this build reads (ErrVersion), cannot be salvaged.
 func Salvage(data []byte, workers int) (*field.Field, *SalvageReport, error) {
 	return SalvageCtx(nil, data, workers)
 }
@@ -196,288 +181,72 @@ func SalvageCtx(ctx context.Context, data []byte, workers int) (f *field.Field, 
 	return f, rep, nil
 }
 
-// SalvageParse is the parse-only stage of Salvage: it tolerantly decodes
-// the three sections of a v3+ stream, zero-filling the extents of damaged
-// chunks, and reports per-chunk damage without reconstructing a field (the
-// report's vertex fields stay zero). Lost sections return nil streams.
-func SalvageParse(data []byte, workers int) (ebSyms, quantSyms []uint32, raw []byte, rep *SalvageReport, err error) {
-	defer streamerr.Guard("cpsz", &err)
-	_, ebSyms, quantSyms, raw, rep, err = salvageParse(nil, data, workers)
-	return ebSyms, quantSyms, raw, rep, err
-}
-
-// salvageParse walks the stream tolerantly: chunk-level failures zero-fill
-// and record; a section whose framing is unreadable is marked Lost along
-// with every later section (their offsets are unknowable). Only header
-// damage, pre-v3 streams, and cancellation are hard errors.
+// salvageParse walks the stream tolerantly: the fixed header must verify,
+// a broken seal is recorded, chunk-level failures zero-fill and record,
+// and a section whose framing is unreadable is marked Lost along with
+// every later section (their offsets are unknowable). Only header damage
+// and cancellation are hard errors.
 func salvageParse(ctx context.Context, data []byte, workers int) (hdr header, ebSyms, quantSyms []uint32, raw []byte, rep *SalvageReport, err error) {
-	hdr, off, end, sealBroken, err := salvageHeader(data)
+	hdr, seal, err := readHeader(data)
 	if err != nil {
 		return hdr, nil, nil, nil, nil, err
 	}
-	rep = &SalvageReport{SealBroken: sealBroken, Sections: make([]SectionSalvage, 3)}
-	version := data[4]
-	body := data[:end]
-	lostFrom := 3
-	var lostErr error
-	for si := 0; si < 3 && lostFrom == 3; si++ {
-		var serr error
-		var dmg SectionSalvage
-		var extents [][2]int
-		if si < 2 {
-			var syms []uint32
-			syms, off, dmg, extents, serr = salvageSymbolSection(ctx, body, off, workers, version, sectionNames[si])
-			if si == 0 {
-				ebSyms = syms
-			} else {
-				quantSyms = syms
-			}
-		} else {
-			raw, off, dmg, extents, serr = salvageRawSection(ctx, body, off, workers, version)
-		}
+	rep = &SalvageReport{SealBroken: seal != nil, Sections: make([]SectionSalvage, len(sectionNames))}
+	s := getScratch()
+	defer putScratch(s)
+	body := data[:len(data)-trailerBytes]
+	off := sealedHeaderBytes
+	for si := range sectionNames {
+		sec, next, serr := readSection(s, body, off, si)
 		if serr != nil {
-			if streamerr.IsContextErr(serr) {
-				return hdr, nil, nil, nil, rep, serr
+			rep.Sections[si] = SectionSalvage{Name: sectionNames[si], Lost: true, LostReason: serr.Error()}
+			for later := si + 1; later < len(sectionNames); later++ {
+				rep.Sections[later] = SectionSalvage{Name: sectionNames[later], Lost: true, LostReason: "preceding section unreadable, offset unknown"}
 			}
-			lostFrom, lostErr = si, serr
+			break
+		}
+		off = next
+		rep.Sections[si] = SectionSalvage{Name: sec.name}
+		if sec.n == 0 {
 			continue
 		}
-		rep.Sections[si] = dmg
-		rep.extents[si] = extents
-	}
-	for si := lostFrom; si < 3; si++ {
-		reason := "preceding section unreadable, offset unknown"
-		if si == lostFrom {
-			reason = lostErr.Error()
+		// The damage flags take their length from the directory's arena
+		// arrays, which readSection sized to the validated chunk count.
+		damaged := make([]bool, len(sec.crcs))
+		switch si {
+		case 0:
+			ebSyms, err = decodeSection(ctx, sec, len(body), workers, damaged, decodeSymChunk)
+		case 1:
+			quantSyms, err = decodeSection(ctx, sec, len(body), workers, damaged, decodeSymChunk)
+		default:
+			raw, err = decodeSection(ctx, sec, len(body), workers, damaged, decodeRawChunk)
 		}
-		rep.Sections[si] = SectionSalvage{Name: sectionNames[si], Lost: true, LostReason: reason}
-		rep.extents[si] = nil
+		if err != nil {
+			return hdr, nil, nil, nil, rep, err // only cancellation reaches here
+		}
+		rep.extents[si] = collectDamage(&rep.Sections[si], &sec, damaged)
 	}
 	return hdr, ebSyms, quantSyms, raw, rep, nil
-}
-
-// salvageHeader is parseHeader for the salvage path: the fixed header and
-// its CRC must verify (damaged dims cannot be trusted), but a broken
-// whole-stream trailer is tolerated — the trailer is fixed-size at the very
-// end of the stream, so the section bytes are still located exactly and the
-// chunk checksums still localize damage. Pre-v3 streams carry no checksums
-// at all, so salvage cannot tell good chunks from bad and reports
-// ErrVersion.
-func salvageHeader(data []byte) (hdr header, off, end int, sealBroken bool, err error) {
-	if len(data) < headerBytes {
-		return hdr, 0, 0, false, streamerr.Truncated("cpsz header", "%d of %d fixed-header bytes", len(data), headerBytes)
-	}
-	if string(data[:4]) != streamMagic {
-		return hdr, 0, 0, false, streamerr.Header("cpsz header", "bad magic, not a cpSZ stream")
-	}
-	version := data[4]
-	if version < formatV1 || version > formatV4 {
-		return hdr, 0, 0, false, streamerr.Version("cpsz header", version)
-	}
-	if version < formatV3 {
-		return hdr, 0, 0, false, streamerr.Version("cpsz header", version).WithOffset(4)
-	}
-	if len(data) < headerBytesV3+trailerBytes {
-		return hdr, 0, 0, false, streamerr.Truncated("cpsz header", "%d bytes, v%d needs at least %d", len(data), version, headerBytesV3+trailerBytes)
-	}
-	stored := binary.LittleEndian.Uint32(data[headerBytes:])
-	if got := crc32.Checksum(data[:headerBytes], crcTable); got != stored {
-		return hdr, 0, 0, false, streamerr.Corrupt("cpsz header", "header CRC32C %08x, stored %08x; a damaged fixed header cannot be salvaged", got, stored)
-	}
-	off = headerBytesV3
-	end, err = verifyTrailer(data)
-	if err != nil {
-		sealBroken = true
-		end = len(data) - trailerBytes
-	}
-	hdr.dim = int(data[5])
-	hdr.mode = ebound.Mode(data[6])
-	hdr.temporal = data[7]&temporalFlag != 0
-	hdr.predictor = Predictor(data[7] &^ temporalFlag)
-	if hdr.predictor != PredictorLorenzo && hdr.predictor != PredictorInterpolation {
-		return hdr, 0, 0, sealBroken, streamerr.Header("cpsz header", "unknown predictor %d", hdr.predictor)
-	}
-	hdr.nx = int(binary.LittleEndian.Uint32(data[8:]))
-	hdr.ny = int(binary.LittleEndian.Uint32(data[12:]))
-	hdr.nz = int(binary.LittleEndian.Uint32(data[16:]))
-	hdr.errBound = float64frombits(binary.LittleEndian.Uint64(data[20:]))
-	if hdr.dim != 2 && hdr.dim != 3 {
-		return hdr, 0, 0, sealBroken, streamerr.Header("cpsz header", "invalid dimension %d", hdr.dim)
-	}
-	return hdr, off, end, sealBroken, nil
-}
-
-// salvageSymbolSection mirrors parseSymbolSection but contains every
-// per-chunk failure: a chunk whose checksum or decode fails leaves its
-// extent zero and is recorded instead of aborting. Structural failures
-// (count, codebook, directory) return an error — the caller marks the
-// section lost. Only cancellation escapes the chunk loop.
-func salvageSymbolSection(ctx context.Context, data []byte, off, workers int, version byte, section string) ([]uint32, int, SectionSalvage, [][2]int, error) {
-	dmg := SectionSalvage{Name: section}
-	if off < 0 || off > len(data) {
-		return nil, 0, dmg, nil, streamerr.Corrupt(section, "section offset %d outside %d-byte stream", off, len(data))
-	}
-	count, sz := binary.Uvarint(data[off:])
-	if sz <= 0 {
-		return nil, 0, dmg, nil, streamerr.Truncated(section, "symbol count cut off").WithOffset(int64(off))
-	}
-	off += sz
-	if count == 0 {
-		return nil, off, dmg, nil, nil
-	}
-	if count > 8*maxDeflateRatio*uint64(len(data)-off)+64 {
-		return nil, 0, dmg, nil, streamerr.Corrupt(section, "symbol count %d exceeds stream capacity", count)
-	}
-	table, consumed, err := huffman.ParseTable(data[off:], count)
-	if err != nil {
-		return nil, 0, dmg, nil, streamerr.Wrap(streamerr.ErrCorrupt, section, err)
-	}
-	off += consumed
-	s := getScratch()
-	defer putScratch(s)
-	dir, off, err := parseChunkDirectory(s, data, off, int(count), version, kindSymbols, section)
-	if err != nil {
-		return nil, 0, dmg, nil, err
-	}
-	if dir.total > len(data)-off {
-		return nil, 0, dmg, nil, streamerr.Truncated(section, "chunk payloads exceed stream length").WithOffset(int64(off))
-	}
-	payload := data[off : off+dir.total]
-	out := make([]uint32, count)
-	damaged := make([]bool, dir.cc)
-	workers = parallel.SizedWorkers(workers, dir.cc, 4*int64(count), entropyWorkerBytes)
-	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
-		lo, hi := dir.bound(i)
-		// A decode failure of any flavour — checksum, inflate, entropy,
-		// even a contained panic from hostile-but-checksummed bytes — marks
-		// this one chunk damaged and re-zeroes its extent; neighbours are
-		// unaffected.
-		defer func() {
-			if recover() != nil {
-				damaged[i] = true
-			}
-			if damaged[i] {
-				clear(out[lo:hi])
-			}
-		}()
-		if dir.verifyChunk(payload, i, section) != nil {
-			damaged[i] = true
-			return nil
-		}
-		pl := dir.payloadAt(payload, i)
-		if dir.mode(i) == symChunkPacked {
-			if decodePackedChunk(pl, out[lo:hi], section, i) != nil {
-				damaged[i] = true
-			}
-			return nil
-		}
-		ws := getScratch()
-		var derr error
-		bits := pl
-		if version < formatV4 || len(pl) != dir.usizes[i] {
-			bits = ws.buf(dir.usizes[i])
-			derr = ws.inflateInto(pl, bits)
-		}
-		if derr == nil {
-			derr = table.DecodeChunk(bits, out[lo:hi])
-		}
-		putScratch(ws)
-		if derr != nil {
-			damaged[i] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, dmg, nil, err // only cancellation reaches here
-	}
-	extents := collectDamage(&dmg, &dir, int64(off), damaged)
-	return out, off + dir.total, dmg, extents, nil
-}
-
-// salvageRawSection is salvageSymbolSection for the verbatim-float section;
-// damaged extents are byte ranges of the raw stream.
-func salvageRawSection(ctx context.Context, data []byte, off, workers int, version byte) ([]byte, int, SectionSalvage, [][2]int, error) {
-	const section = "raw"
-	dmg := SectionSalvage{Name: section}
-	if off < 0 || off > len(data) {
-		return nil, 0, dmg, nil, streamerr.Corrupt(section, "section offset %d outside %d-byte stream", off, len(data))
-	}
-	rawLen, sz := binary.Uvarint(data[off:])
-	if sz <= 0 {
-		return nil, 0, dmg, nil, streamerr.Truncated(section, "section length cut off").WithOffset(int64(off))
-	}
-	off += sz
-	if rawLen == 0 {
-		return nil, off, dmg, nil, nil
-	}
-	if rawLen > maxDeflateRatio*uint64(len(data)-off)+64 {
-		return nil, 0, dmg, nil, streamerr.Corrupt(section, "raw length %d exceeds stream capacity", rawLen)
-	}
-	s := getScratch()
-	defer putScratch(s)
-	dir, off, err := parseChunkDirectory(s, data, off, int(rawLen), version, kindRaw, section)
-	if err != nil {
-		return nil, 0, dmg, nil, err
-	}
-	if dir.total > len(data)-off {
-		return nil, 0, dmg, nil, streamerr.Truncated(section, "chunk payloads exceed stream length").WithOffset(int64(off))
-	}
-	payload := data[off : off+dir.total]
-	raw := make([]byte, rawLen)
-	damaged := make([]bool, dir.cc)
-	workers = parallel.SizedWorkers(workers, dir.cc, int64(rawLen), entropyWorkerBytes)
-	err = parallel.For(ctx, dir.cc, workers, 1, func(i int) error {
-		lo, hi := dir.bound(i)
-		defer func() {
-			if recover() != nil {
-				damaged[i] = true
-			}
-			if damaged[i] {
-				clear(raw[lo:hi])
-			}
-		}()
-		if dir.verifyChunk(payload, i, section) != nil {
-			damaged[i] = true
-			return nil
-		}
-		pl := dir.payloadAt(payload, i)
-		if dir.mode(i) == rawChunkStored {
-			copy(raw[lo:hi], pl)
-			return nil
-		}
-		ws := getScratch()
-		derr := ws.inflateInto(pl, raw[lo:hi])
-		putScratch(ws)
-		if derr != nil {
-			damaged[i] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, dmg, nil, err
-	}
-	extents := collectDamage(&dmg, &dir, int64(off), damaged)
-	return raw, off + dir.total, dmg, extents, nil
 }
 
 // collectDamage folds the per-chunk damage flags into the section report —
 // indexes, absolute payload offsets, and the recovered-byte tally — and
 // returns the damaged unit extents for reconstruction tainting.
-func collectDamage(dmg *SectionSalvage, dir *chunkDirectory, payBase int64, damaged []bool) [][2]int {
-	dmg.Chunks = dir.cc
+func collectDamage(dmg *SectionSalvage, sec *section, damaged []bool) [][2]int {
+	dmg.Chunks = sec.cc
 	var extents [][2]int
 	for i, bad := range damaged {
-		csize := dir.total - dir.offsets[i]
-		if i+1 < dir.cc {
-			csize = dir.offsets[i+1] - dir.offsets[i]
+		csize := len(sec.payload) - sec.offsets[i]
+		if i+1 < sec.cc {
+			csize = sec.offsets[i+1] - sec.offsets[i]
 		}
 		if !bad {
 			dmg.BytesRecovered += csize
 			continue
 		}
-		lo, hi := dir.bound(i)
+		lo, hi := chunkBound(sec.n, sec.cc, i)
 		dmg.DamagedChunks = append(dmg.DamagedChunks, i)
-		dmg.DamagedOffsets = append(dmg.DamagedOffsets, payBase+int64(dir.offsets[i]))
+		dmg.DamagedOffsets = append(dmg.DamagedOffsets, int64(sec.base+sec.offsets[i]))
 		extents = append(extents, [2]int{lo, hi})
 	}
 	return extents

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 
 	"tspsz/internal/field"
@@ -22,7 +21,7 @@ import (
 // The streaming writer produces archives byte-identical to CompressCtx +
 // serialize without ever holding the whole field: layers arrive through a
 // field.LayerFetcher, regions flow through a bounded parallel.Pipeline
-// window, and compressed v4 chunks are sealed once the sweep is done. Chunk
+// window, and compressed chunks are sealed once the sweep is done. Chunk
 // boundaries (chunkBound) and the shared Huffman tables depend on
 // whole-section totals, so the one predict/quantize sweep accumulates
 // histograms and section lengths while keeping each region's streams as a
@@ -661,19 +660,6 @@ func writeRawSection(cw *crcCountWriter, e *rawSectionEncoder, c *obs.Collector)
 	return nil
 }
 
-// appendChunkDirectory appends the uvarint chunk count and the v4
-// directory entries, byte-identical to mergeChunks' directory.
-func appendChunkDirectory(dst []byte, chunks []encChunk) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
-	for i := range chunks {
-		dst = binary.AppendUvarint(dst, uint64(chunks[i].usize))
-		dst = binary.AppendUvarint(dst, uint64(len(chunks[i].payload)))
-		dst = append(dst, chunks[i].mode)
-		dst = binary.LittleEndian.AppendUint32(dst, chunks[i].crc)
-	}
-	return dst
-}
-
 // writeChunkPayloads writes every payload in order, returning each pooled
 // buffer exactly once whether or not its write succeeds.
 func writeChunkPayloads(cw *crcCountWriter, chunks []encChunk) error {
@@ -689,7 +675,7 @@ func writeChunkPayloads(cw *crcCountWriter, chunks []encChunk) error {
 }
 
 // CompressStream encodes an nx×ny×nz 3-component field supplied layer by
-// layer through fetch, writing a v4 stream to w that is byte-identical to
+// layer through fetch, writing a stream to w that is byte-identical to
 // what CompressCtx would produce for the same data and options, at every
 // worker count. eb optionally supplies precomputed per-vertex bounds (the
 // effective bound is min(opts.ErrBound-derived, fetched); negative forces
@@ -815,14 +801,9 @@ func CompressStream(ctx context.Context, w io.Writer, nx, ny, nz int, fetch fiel
 // writeStream emits header, sections, and trailer through the rolling-CRC
 // writer, charging the same byte-partition counters as serialize.
 func writeStream(cw *crcCountWriter, sw *layerSweep, opts Options, ebEnc, quantEnc *symSectionEncoder, rawEnc *rawSectionEncoder, c *obs.Collector) error {
-	hdr := make([]byte, 0, headerBytesV3)
-	hdr = append(hdr, streamMagic...)
-	hdr = append(hdr, formatVersion, 3, byte(opts.Mode), byte(opts.Predictor))
-	for _, v := range []uint32{uint32(sw.nx), uint32(sw.ny), uint32(sw.nz)} {
-		hdr = binary.LittleEndian.AppendUint32(hdr, v)
-	}
-	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opts.ErrBound))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr[:headerBytes], crcTable))
+	hdr := appendHeader(make([]byte, 0, sealedHeaderBytes), header{
+		dim: 3, nx: sw.nx, ny: sw.ny, nz: sw.nz, mode: opts.Mode, predictor: opts.Predictor, errBound: opts.ErrBound,
+	})
 	if err := cw.write(hdr); err != nil {
 		return err
 	}

@@ -54,8 +54,8 @@ var (
 	ErrTruncated = streamerr.ErrTruncated
 	// ErrCorrupt: a checksum mismatch or internally inconsistent section.
 	ErrCorrupt = streamerr.ErrCorrupt
-	// ErrVersion: a version this build does not read (or, for Verify, one
-	// predating checksums).
+	// ErrVersion: a format version this build does not read. It reads
+	// only the current stream (v4) and container (v3) formats.
 	ErrVersion = streamerr.ErrVersion
 	// ErrHeader: a malformed fixed header (bad magic, implausible dims).
 	ErrHeader = streamerr.ErrHeader
@@ -74,15 +74,19 @@ var (
 type StreamError = streamerr.Error
 
 // Verify checks every integrity layer of a Compress, CompressCP, or
-// CompressSequence stream — header CRC32C, per-chunk checksums, and the
-// whole-archive trailer — without inflating or decoding any payload. It
-// reads the whole stream once at I/O speed, so it is far cheaper than a
-// full decode. Streams from versions predating checksums return ErrVersion.
+// CompressSequence stream — header CRC32C, section framing, per-chunk
+// checksums, and the whole-archive trailer — without reconstructing the
+// field. It inflates the container's correction patch but no chunk
+// payload, so it is far cheaper than a full decode. It returns the first
+// failure VerifyAll reports, or nil when the archive verifies. Layers are
+// checked in the order strict decode checks them — a broken seal before
+// the header and framing failures behind it — so damage that a checksum
+// or the framing reveals fails Verify with the class Decompress returns.
 func Verify(data []byte) error {
-	if len(data) >= 4 && string(data[:4]) == "CPSZ" {
-		return cpsz.Verify(data)
+	if fails := VerifyAll(data); len(fails) > 0 {
+		return fails[0]
 	}
-	return core.Verify(data)
+	return nil
 }
 
 // VerifyAll is the exhaustive counterpart of Verify: instead of stopping at
@@ -90,12 +94,7 @@ func Verify(data []byte) error {
 // archive (and, for sequences, every frame) and returns one typed failure
 // per violation in stream order — a deterministic, stable ordering for any
 // given input. An empty result means the archive verifies completely.
-func VerifyAll(data []byte) []*StreamError {
-	if len(data) >= 4 && string(data[:4]) == "CPSZ" {
-		return cpsz.VerifyAll(data)
-	}
-	return core.VerifyAll(data)
-}
+func VerifyAll(data []byte) []*StreamError { return core.VerifyAll(data) }
 
 // SalvageReport is the outcome of a salvage decode: the inner stream's
 // per-section chunk damage, vertex-level recovery map, and the fate of the
@@ -115,10 +114,10 @@ type SectionSalvage = cpsz.SectionSalvage
 // reconstruction instead of failing. The report says exactly which chunks
 // and which vertices were lost; vertices not marked in its Damaged bitmap
 // are bit-identical to a clean decode. Accepts Compress containers and bare
-// CompressCP streams; pre-checksum (pre-v3) archives cannot be salvaged and
-// return ErrVersion, and sequence containers return ErrHeader. The report
-// is non-nil whenever the outer framing was readable, even alongside a
-// non-nil error.
+// CompressCP streams; a damaged fixed header cannot be salvaged, an
+// unsupported format version returns ErrVersion, and sequence containers
+// return ErrHeader. The report is non-nil whenever the outer framing was
+// readable, even alongside a non-nil error.
 func Salvage(data []byte, workers int) (*Field, *SalvageReport, error) {
 	return core.Salvage(data, workers)
 }
