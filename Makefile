@@ -32,13 +32,15 @@ race:
 	$(GO) test -race ./...
 
 # 10-second native-fuzzing smoke per decoder entry point, plus the
-# differential targets holding frechet.WithinTol to the full reachability DP
-# and ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation.
+# differential targets holding frechet.WithinTol to the full reachability DP,
+# ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation and
+# the tracer's narrowed absorption probe to a scan of every bucket.
 # Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
 # as artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWithinTol$$' -fuzztime=10s -run='^$$' ./internal/frechet
 	$(GO) test -fuzz='^FuzzVertexBound$$' -fuzztime=10s -run='^$$' ./internal/ebound
+	$(GO) test -fuzz='^FuzzNear$$' -fuzztime=10s -run='^$$' ./internal/integrate
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec
 	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=10s -run='^$$' ./internal/core

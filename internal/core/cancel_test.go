@@ -10,6 +10,7 @@ import (
 	"tspsz/internal/bitmap"
 	"tspsz/internal/critical"
 	"tspsz/internal/ebound"
+	"tspsz/internal/integrate"
 	"tspsz/internal/obs"
 	"tspsz/internal/parallel"
 	"tspsz/internal/streamerr"
@@ -60,7 +61,8 @@ func TestForceExactHonoursCtx(t *testing.T) {
 	cancel()
 	log := &patchLog{patched: bitmap.New(f.NumVertices())}
 	o := (&Options{Params: testParams(), Workers: 2}).withDefaults()
-	if err := forceExact(ctx, f, dec, cps, saddles, o, log); !errors.Is(err, context.Canceled) {
+	loc := integrate.NewCPLocator(cps)
+	if err := forceExact(ctx, f, dec, cps, loc, saddles, o, log); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if n := log.patched.Count(); n != 0 {

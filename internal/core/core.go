@@ -241,10 +241,11 @@ func compress1(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	// any RK4 stage interpolates from (lines 12-22).
 	saddles := saddleIndices(cps)
 	perSaddle := make([][]int, len(saddles))
+	loc := integrate.NewCPLocator(cps) // read-only after construction
 	if err := c.Do(obs.StageTrace, workers, int64(len(saddles)), func() error {
 		return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 			var verts []int
-			integrate.TraceSeparatricesOf(f, cps, saddles[i], o.Params, &verts)
+			integrate.TraceSeparatricesOf(f, cps, loc, saddles[i], o.Params, &verts)
 			perSaddle[i] = verts
 			return nil
 		})
@@ -360,7 +361,7 @@ func compressI(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 				// Last resort: patch everything the original separatrices
 				// touch, which provably reproduces them (same argument as
 				// TspSZ-I), then do a final verification round.
-				if err := forceExact(ctx, f, dec, cps, saddles, o, log); err != nil {
+				if err := forceExact(ctx, f, dec, cps, loc, saddles, o, log); err != nil {
 					return err
 				}
 			} else {
@@ -488,12 +489,12 @@ func fixTraj(orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLoca
 
 // forceExact patches every vertex involved in any original separatrix,
 // the TspSZ-I guarantee applied as a fallback.
-func forceExact(ctx context.Context, orig, dec *field.Field, cps []critical.Point, saddles []int, o Options, log *patchLog) error {
+func forceExact(ctx context.Context, orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLocator, saddles []int, o Options, log *patchLog) error {
 	return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 		var verts []int
-		integrate.TraceSeparatricesOf(orig, cps, saddles[i], o.Params, &verts)
+		integrate.TraceSeparatricesOf(orig, cps, loc, saddles[i], o.Params, &verts)
 		log.traceLocked(func() {
-			integrate.TraceSeparatricesOf(dec, cps, saddles[i], o.Params, &verts)
+			integrate.TraceSeparatricesOf(dec, cps, loc, saddles[i], o.Params, &verts)
 		})
 		log.apply(orig, dec, verts)
 		return nil

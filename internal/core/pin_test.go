@@ -8,6 +8,7 @@ import (
 	"tspsz/internal/datagen"
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
+	"tspsz/internal/integrate"
 )
 
 // TestTspSZiArchivePinned pins the TspSZ-i archive and its correction
@@ -67,4 +68,95 @@ func TestTspSZiArchivePinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTspSZ1ArchivePinned pins TspSZ-I archives on a 2D field, a 3D field
+// and a Nek5000 window where almost every vertex is stored losslessly.
+// The lossless set is the union of the cells every separatrix samples, so
+// how the tracer records that set is an implementation detail: changing it
+// must not change a byte. TspSZ-I promises one archive for any worker
+// count, so each field has one digest for workers 1 and 2.
+//
+// The digests may change only in a change that states an intended archive
+// change.
+func TestTspSZ1ArchivePinned(t *testing.T) {
+	ocean, err := datagen.ByName("ocean", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hurricane, err := datagen.ByName("hurricane", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each field uses its dataset's absolute-mode settings from the
+	// paper's tables (experiments.Standard).
+	cases := []struct {
+		name     string
+		f        *field.Field
+		opts     Options
+		lossless int
+		sha      string
+	}{
+		{
+			name: "ocean",
+			f:    ocean,
+			opts: Options{Mode: ebound.Absolute, ErrBound: 2e-2,
+				Params: integrate.Params{EpsP: 1e-2, MaxSteps: 1000, H: 2.5e-2}},
+			lossless: 2160,
+			sha:      "9d4bd63e0956a0057a88fe1835ce91b17e5a531c4dccd79f512b0b89915f95d1",
+		},
+		{
+			name: "hurricane",
+			f:    hurricane,
+			opts: Options{Mode: ebound.Absolute, ErrBound: 5e-3,
+				Params: integrate.Params{EpsP: 1e-2, MaxSteps: 1000, H: 5e-2}},
+			lossless: 9188,
+			sha:      "be7a369d753f1ec7aeb1628a8ad8b7a195274e934ea6b1d0d67ce92289b22ae1",
+		},
+		{
+			name: "nek5000-window",
+			f:    cropWindow(datagen.Nek5000(18), [3]int{2, 2, 2}, 14),
+			opts: Options{Mode: ebound.Absolute, ErrBound: 1e-2,
+				Params: integrate.Params{EpsP: 1e-2, MaxSteps: 1000, H: 2.5e-2}},
+			lossless: 2638,
+			sha:      "abad99d8dd462c33324a97275b7c491adfe02ec4519c9da6c6e27a6407f6f6f1",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				opts := tc.opts
+				opts.Workers = workers
+				res, err := Compress(tc.f, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.LosslessCount != tc.lossless {
+					t.Errorf("workers=%d: %d lossless vertices, want %d", workers, res.Stats.LosslessCount, tc.lossless)
+				}
+				sum := sha256.Sum256(res.Bytes)
+				if hex.EncodeToString(sum[:]) != tc.sha {
+					t.Errorf("workers=%d: archive (%d bytes) has SHA-256 %x, want %s", workers, len(res.Bytes), sum, tc.sha)
+				}
+			}
+		})
+	}
+}
+
+// cropWindow cuts the n³ window at offset off out of the 3D field f.
+func cropWindow(f *field.Field, off [3]int, n int) *field.Field {
+	w := field.New3D(n, n, n)
+	src, dst := f.Components(), w.Components()
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				from := f.Grid.VertexIndex(off[0]+i, off[1]+j, off[2]+k)
+				to := w.Grid.VertexIndex(i, j, k)
+				for c := range src {
+					dst[c][to] = src[c][from]
+				}
+			}
+		}
+	}
+	return w
 }

@@ -75,10 +75,11 @@ func (f *Field) VecAt(idx int) [3]float64 {
 
 // Sample evaluates the piecewise-linear interpolant at point p. It returns
 // the interpolated vector, the cell used, and ok == false when p is outside
-// the domain. If verts is non-nil, the indices of the vertices participating
-// in the interpolation are appended to *verts — this is the involved-vertex
-// tracking TspSZ-I relies on (Algorithm 2, line 16).
-func (f *Field) Sample(p [3]float64, verts *[]int) (vec [3]float64, cell int, ok bool) {
+// the domain or has a NaN coordinate. The vertices of the cell
+// (grid.CellVertices) are the ones the interpolation read: the
+// involved-vertex tracking TspSZ-I relies on (Algorithm 2, line 16) records
+// them per cell.
+func (f *Field) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
 	cell, bc, ok := f.Grid.Locate(p)
 	if !ok {
 		return vec, 0, false
@@ -92,9 +93,6 @@ func (f *Field) Sample(p [3]float64, verts *[]int) (vec [3]float64, cell int, ok
 		if f.W != nil {
 			vec[2] += w * float64(f.W[v])
 		}
-	}
-	if verts != nil {
-		*verts = append(*verts, vs...)
 	}
 	return vec, cell, true
 }

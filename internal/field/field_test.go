@@ -44,7 +44,7 @@ func TestSampleAtVertices(t *testing.T) {
 	f := randomField2D(6, 5, 2)
 	for idx := 0; idx < f.NumVertices(); idx++ {
 		p := f.Grid.VertexPosition(idx)
-		vec, _, ok := f.Sample(p, nil)
+		vec, _, ok := f.Sample(p)
 		if !ok {
 			t.Fatalf("vertex %d outside domain", idx)
 		}
@@ -70,7 +70,7 @@ func TestSampleReproducesLinearField(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n < 300; n++ {
 		p := [3]float64{rng.Float64() * 3, rng.Float64() * 4, rng.Float64() * 2}
-		vec, _, ok := f.Sample(p, nil)
+		vec, _, ok := f.Sample(p)
 		if !ok {
 			t.Fatalf("point %v outside", p)
 		}
@@ -81,27 +81,42 @@ func TestSampleReproducesLinearField(t *testing.T) {
 	}
 }
 
+// The cell Sample returns names the vertices it read, which is what the
+// involved-vertex tracking records: perturbing every other vertex leaves
+// the sample unchanged, and perturbing one of them changes it.
 func TestSampleTracksVertices(t *testing.T) {
 	f := randomField2D(5, 5, 4)
-	var verts []int
-	_, cell, ok := f.Sample([3]float64{1.3, 2.6, 0}, &verts)
+	p := [3]float64{1.3, 2.6, 0}
+	vec, cell, ok := f.Sample(p)
 	if !ok {
 		t.Fatal("sample failed")
 	}
-	want := f.Grid.CellVertices(cell, nil)
-	if len(verts) != len(want) {
-		t.Fatalf("tracked %d vertices, want %d", len(verts), len(want))
+	read := map[int]bool{}
+	for _, v := range f.Grid.CellVertices(cell, nil) {
+		read[v] = true
 	}
-	for i := range verts {
-		if verts[i] != want[i] {
-			t.Fatalf("tracked %v, want %v", verts, want)
+	g := f.Clone()
+	for v := range g.U {
+		if !read[v] {
+			g.U[v] += 100
+			g.V[v] -= 100
+		}
+	}
+	if got, gotCell, _ := g.Sample(p); got != vec || gotCell != cell {
+		t.Fatalf("perturbing the other vertices moved the sample: %v in cell %d, want %v in %d", got, gotCell, vec, cell)
+	}
+	for v := range read {
+		h := f.Clone()
+		h.U[v] += 100
+		if got, _, _ := h.Sample(p); got == vec {
+			t.Fatalf("perturbing cell vertex %d left the sample unchanged", v)
 		}
 	}
 }
 
 func TestSampleOutside(t *testing.T) {
 	f := randomField2D(4, 4, 5)
-	if _, _, ok := f.Sample([3]float64{-1, 0, 0}, nil); ok {
+	if _, _, ok := f.Sample([3]float64{-1, 0, 0}); ok {
 		t.Error("expected outside")
 	}
 }

@@ -213,16 +213,19 @@ func (g *Grid) StarCellAt(s *StarCell, i, j, k int) (c int, ok bool) {
 
 // Locate finds the simplex containing point p and its barycentric
 // coordinates. It returns ok == false when p lies outside the grid domain
-// [0,nx-1]×[0,ny-1](×[0,nz-1]). The barycentric coordinates bc correspond
-// one-to-one with CellVertices order and satisfy bc[i] >= 0, Σ bc[i] == 1
-// (up to rounding).
+// [0,nx-1]×[0,ny-1](×[0,nz-1]) or has a NaN coordinate (2D grids ignore
+// p[2]). The barycentric coordinates bc correspond one-to-one with
+// CellVertices order and satisfy bc[i] >= 0, Σ bc[i] == 1 (up to
+// rounding).
 func (g *Grid) Locate(p [3]float64) (cell int, bc [4]float64, ok bool) {
 	nx, ny, nz := g.dims[0], g.dims[1], g.dims[2]
 	x, y, z := p[0], p[1], p[2]
-	if x < 0 || y < 0 || x > float64(nx-1) || y > float64(ny-1) {
+	// Written as "inside" tests so that a NaN, which fails every
+	// comparison, is outside.
+	if !(x >= 0 && y >= 0 && x <= float64(nx-1) && y <= float64(ny-1)) {
 		return 0, bc, false
 	}
-	if g.dim == 3 && (z < 0 || z > float64(nz-1)) {
+	if g.dim == 3 && !(z >= 0 && z <= float64(nz-1)) {
 		return 0, bc, false
 	}
 	ci := clampCell(x, nx-1)

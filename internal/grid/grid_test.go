@@ -258,6 +258,24 @@ func TestLocateOutside(t *testing.T) {
 	}
 }
 
+// A NaN coordinate fails every comparison, so a bounds test written as
+// "outside" would let it through with NaN barycentric weights.
+func TestLocateNaNOutside(t *testing.T) {
+	nan := math.NaN()
+	g := New2D(4, 4)
+	for _, p := range [][3]float64{{nan, 1, 0}, {1, nan, 0}, {nan, nan, 0}} {
+		if _, _, ok := g.Locate(p); ok {
+			t.Errorf("Locate(%v) should be outside", p)
+		}
+	}
+	g3 := New3D(4, 4, 4)
+	for _, p := range [][3]float64{{nan, 1, 1}, {1, nan, 1}, {1, 1, nan}} {
+		if _, _, ok := g3.Locate(p); ok {
+			t.Errorf("3D Locate(%v) should be outside", p)
+		}
+	}
+}
+
 func TestLocateBoundaryCorners(t *testing.T) {
 	g := New2D(4, 4)
 	for _, p := range [][3]float64{{0, 0, 0}, {3, 3, 0}, {3, 0, 0}, {0, 3, 0}} {

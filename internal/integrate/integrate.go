@@ -3,7 +3,9 @@
 // the paper), and separatrix construction from saddle points (§III-B, §V).
 // Trajectories optionally record every vertex whose value participated in
 // any RK4 interpolation — the "involved vertices" that TspSZ-I encodes
-// losslessly.
+// losslessly. A trajectory records a cell's vertices each time one of its
+// RK4 stages samples a cell other than the one it recorded last, so the
+// record is a list whose set is exactly the vertices of every cell sampled.
 package integrate
 
 import (
@@ -12,13 +14,14 @@ import (
 	"tspsz/internal/critical"
 	"tspsz/internal/field"
 	"tspsz/internal/frechet"
+	"tspsz/internal/grid"
 )
 
 // Params are the user-facing integration parameters of Table II.
 type Params struct {
 	// EpsP is the absorption threshold: a streamline terminates when it
-	// comes within EpsP of a sink or source. The same value scales the
-	// seed offset from a saddle.
+	// comes within EpsP of a sink or source, for any EpsP ≥ 0. The same
+	// value scales the seed offset from a saddle.
 	EpsP float64
 	// MaxSteps bounds the number of RK4 steps (t in the paper).
 	MaxSteps int
@@ -93,7 +96,7 @@ type Trajectory struct {
 // cpLocator answers nearest sink/source queries via a dense unit-cell
 // bucket grid in CSR layout (an array lookup per probe — map hashing was
 // the hot spot of RK4 tracing). Only sinks and sources absorb
-// trajectories; the grid spans their bounding box plus one cell of apron.
+// trajectories; the grid spans the unit cells of their bounding box.
 type cpLocator struct {
 	cps        []critical.Point
 	lo         [3]int
@@ -127,9 +130,9 @@ func newCPLocator(cps []critical.Point) *cpLocator {
 		return l
 	}
 	l.hasTargets = true
+	l.lo = lo
 	for d := 0; d < 3; d++ {
-		l.lo[d] = lo[d] - 1 // apron so neighbour probes stay in range
-		l.dim[d] = hi[d] - lo[d] + 3
+		l.dim[d] = hi[d] - lo[d] + 1
 	}
 	nb := l.dim[0] * l.dim[1] * l.dim[2]
 	counts := make([]int32, nb+1)
@@ -164,31 +167,26 @@ func newCPLocator(cps []critical.Point) *cpLocator {
 	return l
 }
 
-// near returns the index of a sink/source within eps of p, or -1. eps must
-// be < 1 for the 27-bucket neighbourhood to be sufficient.
+// near returns the index of a sink/source within eps of p, or -1. It scans,
+// in z-y-x order, only the buckets that the ball's bounding box
+// [⌊p−eps⌋, ⌊p+eps⌋] overlaps, clamped to the bucket grid (see span), so
+// for any eps it returns the first hit of a scan over every bucket. A
+// point with a NaN or infinite coordinate is never absorbed.
 func (l *cpLocator) near(p [3]float64, eps float64) int {
 	if !l.hasTargets {
 		return -1
 	}
-	bx := int(math.Floor(p[0])) - l.lo[0]
-	by := int(math.Floor(p[1])) - l.lo[1]
-	bz := int(math.Floor(p[2])) - l.lo[2]
 	e2 := eps * eps
-	for dz := -1; dz <= 1; dz++ {
-		z := bz + dz
-		if z < 0 || z >= l.dim[2] {
-			continue
+	var lo, hi [3]int
+	for d := 0; d < 3; d++ {
+		if math.IsNaN(p[d]) || math.IsInf(p[d], 0) {
+			return -1
 		}
-		for dy := -1; dy <= 1; dy++ {
-			y := by + dy
-			if y < 0 || y >= l.dim[1] {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				x := bx + dx
-				if x < 0 || x >= l.dim[0] {
-					continue
-				}
+		lo[d], hi[d] = l.span(d, p[d], e2)
+	}
+	for z := lo[2]; z <= hi[2]; z++ {
+		for y := lo[1]; y <= hi[1]; y++ {
+			for x := lo[0]; x <= hi[0]; x++ {
 				b := x + l.dim[0]*(y+l.dim[1]*z)
 				for _, ei := range l.entries[l.start[b]:l.start[b+1]] {
 					cp := &l.cps[ei]
@@ -205,15 +203,64 @@ func (l *cpLocator) near(p [3]float64, eps float64) int {
 	return -1
 }
 
+// span returns the range of buckets along axis d, clamped to the bucket
+// grid, that can hold a hit for a probe at coordinate x: the bucket of x,
+// widened across each face f with (f−x)² ≤ e2. Along this axis a point
+// beyond f is no nearer than f, in floating point too, and near's hit test
+// adds the other axes' non-negative terms, so no bucket beyond a face that
+// fails the test holds a hit. A face exactly eps away widens the range by
+// one bucket that cannot; this is the conservative side of a tie.
+func (l *cpLocator) span(d int, x, e2 float64) (lo, hi int) {
+	n := l.dim[d]
+	base := float64(l.lo[d])
+	// Clamping to [-1, n] before the conversion keeps it defined and
+	// makes a point beyond the grid start next to it.
+	c := int(min(max(math.Floor(x)-base, -1), float64(n)))
+	lo, hi = c, c
+	for lo > 0 {
+		f := base + float64(lo) - x // the face below bucket lo
+		if f*f > e2 {
+			break
+		}
+		lo--
+	}
+	for hi < n-1 {
+		f := base + float64(hi+1) - x // the face above bucket hi
+		if f*f > e2 {
+			break
+		}
+		hi++
+	}
+	return max(lo, 0), min(hi, n-1)
+}
+
+// recorder appends the vertex ids of the cells a streamline samples to out
+// (when non-nil), once per cell entered: a sample in the cell recorded last
+// adds nothing.
+type recorder struct {
+	g    *grid.Grid
+	out  *[]int
+	last int // the cell recorded last, -1 before the first
+}
+
+func (r *recorder) record(cell int) {
+	if r.out == nil || cell == r.last {
+		return
+	}
+	r.last = cell
+	*r.out = r.g.CellVertices(cell, *r.out)
+}
+
 // rk4Step advances p by one RK4 step of size h·dir. ok is false when any of
-// the four stage samples falls outside the domain. Visited vertices are
-// appended to verts when non-nil.
-func rk4Step(f *field.Field, p [3]float64, h, dir float64, verts *[]int) (np [3]float64, ok bool) {
+// the four stage samples falls outside the domain. rec records the cell of
+// each stage sample.
+func rk4Step(f *field.Field, p [3]float64, h, dir float64, rec *recorder) (np [3]float64, ok bool) {
 	sample := func(q [3]float64) ([3]float64, bool) {
-		v, _, sOK := f.Sample(q, verts)
+		v, cell, sOK := f.Sample(q)
 		if !sOK {
 			return v, false
 		}
+		rec.record(cell)
 		v[0] *= dir
 		v[1] *= dir
 		v[2] *= dir
@@ -248,8 +295,9 @@ func scale(a [3]float64, s float64) [3]float64 {
 
 // Streamline traces a streamline from seed in direction dir (+1 forward,
 // -1 backward) until absorption, domain exit, vanishing velocity, or the
-// step budget. cps provides the absorption targets (its sinks/sources).
-// Visited vertices are appended to verts when non-nil.
+// step budget. loc provides the absorption targets (the sinks/sources of
+// its critical points). When verts is non-nil, the vertex ids of each cell
+// an RK4 stage samples are appended to it once per cell entered.
 func Streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLocator, verts *[]int) Trajectory {
 	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts)
 }
@@ -257,6 +305,7 @@ func Streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLoc
 func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int) Trajectory {
 	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
 	tr.Points = append(tr.Points, seed)
+	rec := recorder{g: f.Grid, out: verts, last: -1}
 	p := seed
 	const vEps = 1e-12
 	var orbits *orbitDetector
@@ -273,7 +322,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		orbits.visit(seed, 0)
 	}
 	for step := 0; step < par.MaxSteps; step++ {
-		np, ok := rk4Step(f, p, par.H, float64(dir), verts)
+		np, ok := rk4Step(f, p, par.H, float64(dir), &rec)
 		if !ok {
 			tr.Term = LeftDomain
 			return tr
@@ -321,31 +370,22 @@ func SeparatrixSeeds(cp critical.Point, epsP float64) (seeds [][3]float64, dirs 
 }
 
 // TraceSeparatrices traces every separatrix of every saddle in cps over f,
-// in deterministic (saddle, seed) order. If verts is non-nil, all involved
-// vertices across all separatrices are appended to it (Algorithm 2,
-// lines 12-18).
+// in deterministic (saddle, seed) order. If verts is non-nil, each
+// separatrix appends to it the vertex ids of every cell it enters, once per
+// entry: as a set, the involved vertices of Algorithm 2, lines 12-18.
 func TraceSeparatrices(f *field.Field, cps []critical.Point, par Params, verts *[]int) []Trajectory {
-	loc := newCPLocator(cps)
+	loc := NewCPLocator(cps)
 	var out []Trajectory
-	for ci, cp := range cps {
-		if cp.Type != critical.Saddle {
-			continue
-		}
-		seeds, dirs, seedIdx := SeparatrixSeeds(cp, par.EpsP)
-		for si := range seeds {
-			tr := streamline(f, seeds[si], dirs[si], par, loc, verts)
-			tr.Saddle = ci
-			tr.SeedIdx = seedIdx[si]
-			out = append(out, tr)
-		}
+	for ci := range cps {
+		out = append(out, TraceSeparatricesOf(f, cps, loc, ci, par, verts)...)
 	}
 	return out
 }
 
 // TraceSeparatricesOf traces only the separatrices of the saddle at index
-// ci in cps, used by the parallel drivers and the iterative corrector.
-func TraceSeparatricesOf(f *field.Field, cps []critical.Point, ci int, par Params, verts *[]int) []Trajectory {
-	loc := newCPLocator(cps)
+// ci in cps, used by the parallel drivers and the iterative corrector. loc
+// must be built over cps; verts is recorded as by TraceSeparatrices.
+func TraceSeparatricesOf(f *field.Field, cps []critical.Point, loc *CPLocator, ci int, par Params, verts *[]int) []Trajectory {
 	cp := cps[ci]
 	if cp.Type != critical.Saddle {
 		return nil
@@ -353,7 +393,7 @@ func TraceSeparatricesOf(f *field.Field, cps []critical.Point, ci int, par Param
 	seeds, dirs, seedIdx := SeparatrixSeeds(cp, par.EpsP)
 	out := make([]Trajectory, 0, len(seeds))
 	for si := range seeds {
-		tr := streamline(f, seeds[si], dirs[si], par, loc, verts)
+		tr := streamline(f, seeds[si], dirs[si], par, (*cpLocator)(loc), verts)
 		tr.Saddle = ci
 		tr.SeedIdx = seedIdx[si]
 		out = append(out, tr)

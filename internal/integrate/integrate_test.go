@@ -136,7 +136,61 @@ func TestSeparatrixConnectsSaddleToSink(t *testing.T) {
 // trace never touched must leave the trajectory bitwise identical.
 func TestInvolvedVerticesSufficientForExactRetrace(t *testing.T) {
 	f, cps := saddleField(t)
-	par := Params{EpsP: 1e-2, MaxSteps: 2000, H: 0.05}
+	checkExactRetrace(t, f, cps, Params{EpsP: 1e-2, MaxSteps: 2000, H: 0.05})
+}
+
+// The same guarantee on Kuhn tetrahedra, around a saddle-focus whose
+// in-plane separatrices spiral out slowly: they leave and re-enter the
+// tetrahedra around the saddle many times, and each entry is recorded
+// again, so the record is complete however the cells repeat.
+func TestInvolvedVerticesSufficientForExactRetrace3D(t *testing.T) {
+	f := field.New3D(10, 10, 10)
+	for idx := 0; idx < f.NumVertices(); idx++ {
+		p := f.Grid.VertexPosition(idx)
+		x, y, z := p[0]-4.3, p[1]-4.6, p[2]-4.4
+		f.U[idx] = float32(0.05*x - y + 0.02*y*z)
+		f.V[idx] = float32(x + 0.05*y - 0.02*x*z)
+		f.W[idx] = float32(-0.5*z + 0.01*x*y)
+	}
+	cps := critical.Extract(f)
+	if critical.CountSaddles(cps) == 0 {
+		t.Fatalf("setup: no saddle in %v", cps)
+	}
+	// A long step spreads the four RK4 stages over different cells, so a
+	// record that missed any stage's cell would be caught.
+	par := Params{EpsP: 1e-2, MaxSteps: 3000, H: 0.3}
+	reentries := 0
+	loc := NewCPLocator(cps)
+	for _, cp := range cps {
+		if cp.Type != critical.Saddle {
+			continue
+		}
+		seeds, dirs, _ := SeparatrixSeeds(cp, par.EpsP)
+		for si := range seeds {
+			var verts []int
+			Streamline(f, seeds[si], dirs[si], par, loc, &verts)
+			// Each entry appends one cell's four ids; a cell entered
+			// again shows up as a repeated group.
+			seen := map[[4]int]bool{}
+			for i := 0; i+4 <= len(verts); i += 4 {
+				c := [4]int(verts[i : i+4])
+				if seen[c] {
+					reentries++
+				}
+				seen[c] = true
+			}
+		}
+	}
+	if reentries == 0 {
+		t.Fatal("setup: no separatrix re-entered a cell")
+	}
+	checkExactRetrace(t, f, cps, par)
+}
+
+// checkExactRetrace perturbs every vertex the separatrices of cps did not
+// record and requires every separatrix to retrace bit for bit.
+func checkExactRetrace(t *testing.T, f *field.Field, cps []critical.Point, par Params) {
+	t.Helper()
 	var involved []int
 	orig := TraceSeparatrices(f, cps, par, &involved)
 	mark := make([]bool, f.NumVertices())
@@ -150,6 +204,9 @@ func TestInvolvedVerticesSufficientForExactRetrace(t *testing.T) {
 		if !mark[i] {
 			g.U[i] += rng.Float32() * 10
 			g.V[i] += rng.Float32() * 10
+			if g.W != nil {
+				g.W[i] += rng.Float32() * 10
+			}
 			touched++
 		}
 	}

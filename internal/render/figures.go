@@ -62,7 +62,7 @@ func Skeleton(f, dec *field.Field, opts SkeletonOptions) (*image.RGBA, error) {
 			}
 		}
 		c.Heatmap(func(x, y float64) float64 {
-			vec, _, ok := f.Sample([3]float64{x, y, 0}, nil)
+			vec, _, ok := f.Sample([3]float64{x, y, 0})
 			if !ok {
 				return 0
 			}

@@ -73,7 +73,7 @@ func LIC(f *field.Field, opts LICOptions) *image.RGBA {
 			for _, dir := range []float64{1, -1} {
 				cx, cy := x, y
 				for s := 0; s < opts.Length; s++ {
-					vec, _, ok := f.Sample([3]float64{cx, cy, 0}, nil)
+					vec, _, ok := f.Sample([3]float64{cx, cy, 0})
 					if !ok {
 						break
 					}
