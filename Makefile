@@ -33,8 +33,9 @@ race:
 
 # 10-second native-fuzzing smoke per decoder entry point, plus the
 # differential targets holding frechet.WithinTol to the full reachability DP,
-# ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation and
-# the tracer's narrowed absorption probe to a scan of every bucket.
+# ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation,
+# the tracer's narrowed absorption probe to a scan of every bucket, and the
+# cpSZ compression engine to the whole-field reference encoder.
 # Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
 # as artifacts.
 fuzz-smoke:
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzSalvage$$' -fuzztime=10s -run='^$$' ./internal/core
 	$(GO) test -fuzz='^FuzzDecompressTruncated$$' -fuzztime=10s -run='^$$' ./internal/cpsz
 	$(GO) test -fuzz='^FuzzSalvage$$' -fuzztime=10s -run='^$$' ./internal/cpsz
+	$(GO) test -fuzz='^FuzzCompressEngine$$' -fuzztime=10s -run='^$$' ./internal/cpsz
 
 # Byte-level fault-injection sweeps under the race detector: every byte
 # flipped, every offset truncated, seeded random corruption — decoded with
@@ -124,7 +126,7 @@ stream-suite:
 BENCH_JSON ?= BENCH_pr10.json
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 1s
-BENCH_BASELINE ?= BENCH_pr6.json
+BENCH_BASELINE ?= BENCH_pr19.json
 
 bench:
 	$(GO) test -run='^$$' -bench='^(BenchmarkCompressAbs2D|BenchmarkDecompressAbs2D|BenchmarkSerialize|BenchmarkParse)$$' \

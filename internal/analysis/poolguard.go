@@ -9,11 +9,11 @@ package analysis
 //
 // The one sanctioned cross-goroutine hand-off — a parallel worker
 // depositing its pooled payload into a captured per-worker slot, with
-// the merge step re-pooling every slot — is modeled as a deposit
+// the write-out step re-pooling every slot — is modeled as a deposit
 // obligation: the store is allowed, and the enclosing function must
 // contain a reachable release rooted at the captured container (either
 // a direct Pool.Put or a call to a callee summarized as releasing that
-// parameter, like mergeChunks).
+// parameter, like cpsz's writeChunkPayloads).
 
 import (
 	"fmt"
@@ -30,7 +30,7 @@ is released exactly once on every exit path, never used after release,
 never double-released, and never escapes into a return value, global,
 struct field, channel, or goroutine — unless ownership transfers to a
 callee whose summary releases or re-pools it, or the value is deposited
-into a captured container that a later call (e.g. the chunk merge)
+into a captured container that a later call (e.g. the chunk write-out)
 provably re-pools.`,
 		Run: func(p *Package) []Finding {
 			return runLifetime(p, &lifeSpec{check: "poolguard", classes: classPool})

@@ -12,8 +12,8 @@ package analysis
 //     os.Open'd file.
 //   - releases: which parameters (receiver first, matching
 //     funcNode.params) the function releases on some path — putScratch,
-//     putChunkBuf (through &b), mergeChunks re-pooling every
-//     outs[i].payload. A caller passing a resource to such a parameter
+//     putChunkBuf (through &b), writeChunkPayloads re-pooling every
+//     chunks[i].payload. A caller passing a resource to such a parameter
 //     has transferred ownership.
 //   - recvAlias: whether a method returns slice/pointer views into its
 //     receiver's memory — the scratch.buf / scratch.dirArrays accessor

@@ -160,3 +160,29 @@ func cropWindow(f *field.Field, off [3]int, n int) *field.Field {
 	}
 	return w
 }
+
+// TestSequenceArchivePinned pins a TspSZ-I sequence container: every frame
+// after the first is compressed against the previous frame's
+// reconstruction, so the temporal-reference path of the cpSZ engine and
+// the Decompressed field it hands back are both load-bearing. TspSZ-I
+// promises one archive for any worker count, so workers 1 and 2 share one
+// digest.
+//
+// The digest may change only in a change that states an intended archive
+// change.
+func TestSequenceArchivePinned(t *testing.T) {
+	frames := datagen.OceanSequence(72, 48, 3)
+	const want = "39d4641ba0eeb4a458b03ccd77bac25a27b65813b617778daf759ff1d84263b0"
+	for _, workers := range []int{1, 2} {
+		opts := Options{Variant: TspSZ1, Mode: ebound.Absolute, ErrBound: 2e-2,
+			Params: integrate.Params{EpsP: 1e-2, MaxSteps: 1000, H: 2.5e-2}, Workers: workers}
+		res, err := CompressSequence(frames, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(res.Bytes)
+		if hex.EncodeToString(sum[:]) != want {
+			t.Errorf("workers=%d: container (%d bytes) has SHA-256 %x, want %s", workers, len(res.Bytes), sum, want)
+		}
+	}
+}

@@ -78,21 +78,10 @@ func BenchmarkAblationHuffman(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Recover a representative symbol stream by recompressing and tapping
-	// the streams before entropy coding.
-	work := f.Clone()
-	interiors, boundaries := partition(f.Grid)
-	streams := make([]regionStreams, len(interiors)+len(boundaries))
-	opts := Options{Mode: ebound.Absolute, ErrBound: 0.01}
-	for i, r := range interiors {
-		compressRegion(work, f, r, opts, &streams[i])
-	}
-	for i, r := range boundaries {
-		compressRegion(work, f, r, opts, &streams[len(interiors)+i])
-	}
-	var quant []uint32
-	for i := range streams {
-		quant = append(quant, streams[i].quantSyms...)
+	// Recover the quantization-code stream the archive entropy-codes.
+	_, _, quant, _, err := parse(nil, res.Bytes, 0, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	raw := make([]byte, 4*len(quant))
 	for i, q := range quant {

@@ -25,8 +25,9 @@ import (
 // stored globally, or sent on a channel past the put. The only buffers
 // that outlive a worker iteration are the per-chunk payload buffers from
 // chunkBufPool: an encode worker deposits one into its captured output
-// slot, and mergeChunks — summarized by the analyzer as releasing its
-// parameter — re-pools every slot after copying it into its extent.
+// slot, and writeChunkPayloads — summarized by the analyzer as releasing
+// its parameter — re-pools every slot once it is written (repoolChunks on
+// a failure path).
 type scratch struct {
 	bits []byte // Huffman bit buffer / inflate target
 
@@ -47,8 +48,8 @@ type scratch struct {
 var scratchPool sync.Pool
 
 // chunkBufPool recycles the per-chunk payload buffers whose ownership
-// crosses goroutines: an encode worker fills one, the serialize merge
-// copies it into its extent and returns it here.
+// crosses goroutines: an encode worker fills one, the section writer
+// writes it out and returns it here.
 var chunkBufPool sync.Pool
 
 func getChunkBuf() []byte {

@@ -1,6 +1,7 @@
 package cpsz
 
 import (
+	"bytes"
 	"context"
 	"math"
 
@@ -8,18 +9,17 @@ import (
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
 	"tspsz/internal/obs"
-	"tspsz/internal/parallel"
 	"tspsz/internal/quantizer"
 )
 
 // regionStreams accumulates the per-region output; streams are concatenated
-// in region order after both stages, so the result is independent of
-// scheduling.
+// in region order when the sections are sealed, so the result is
+// independent of scheduling.
 type regionStreams struct {
 	ebSyms    []uint32
 	quantSyms []uint32
 	raw       []byte
-	marks     []int // vertices stored fully losslessly
+	marks     []int // global ids of the vertices stored fully losslessly
 }
 
 func (rs *regionStreams) rawFloat(v float32) {
@@ -27,84 +27,74 @@ func (rs *regionStreams) rawFloat(v float32) {
 	rs.raw = append(rs.raw, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
 }
 
-func compress(ctx context.Context, f *field.Field, opts Options) (*Result, error) {
+// compressResident is the Lorenzo path over a resident field: the layer
+// sweep runs over zero-copy views of f along the partition axis, its serial
+// emit stage fills the reconstruction and the lossless bitmap, and each
+// region's streams are held as they are until the section tables exist.
+func compressResident(ctx context.Context, f *field.Field, opts Options) (*Result, error) {
 	c := opts.Collector
-	work := f.Clone()
-	interiors, boundaries := partition(f.Grid)
-	nRegions := len(interiors) + len(boundaries)
-	streams := make([]regionStreams, nRegions)
-	lossless := bitmap.New(f.NumVertices())
-
-	if err := c.Do(obs.StagePredictQuant, parallel.Workers(opts.Workers), int64(f.NumVertices()), func() error {
-		// Stage 1: slab interiors in parallel. Bound derivation may read
-		// boundary-plane vertices, which still hold original values; no
-		// other interior is reachable through any adjacent cell, so there
-		// are no races and the result is schedule independent.
-		if err := parallel.For(ctx, len(interiors), opts.Workers, 1, func(i int) error {
-			compressRegion(work, f, interiors[i], opts, &streams[i])
-			return nil
-		}); err != nil {
-			return err
-		}
-		// Stage 2: boundary planes. Their adjacent cells reach only
-		// finalized interiors, and distinct planes share no cells, so
-		// planes are mutually independent.
-		return parallel.For(ctx, len(boundaries), opts.Workers, 1, func(i int) error {
-			compressRegion(work, f, boundaries[i], opts, &streams[len(interiors)+i])
+	nv := f.NumVertices()
+	dec := &field.Field{Grid: f.Grid, U: make([]float32, nv), V: make([]float32, nv)}
+	if f.W != nil {
+		dec.W = make([]float32, nv)
+	}
+	decComps := dec.Components()
+	lossless := bitmap.New(nv)
+	sw := newLayerSweep(f.Grid, field.Layers(f), nil, opts)
+	var tot sectionTotals
+	var held heldStreams
+	if err := c.Do(obs.StagePredictQuant, sw.workers, int64(nv), func() error {
+		return sw.run(ctx, func(rs *regionStreams, gid int, recon [][]float32) error {
+			for ci, vals := range recon {
+				copy(decComps[ci][gid:gid+len(vals)], vals)
+			}
+			for _, idx := range rs.marks {
+				lossless.Set(idx)
+			}
+			tot.observe(rs)
+			held = append(held, rs)
 			return nil
 		})
 	}); err != nil {
 		return nil, err
 	}
+	c.Add(obs.CtrLosslessVertices, tot.marks)
+	return sealResult(ctx, f, opts, &tot, held, dec, lossless)
+}
 
-	// The merged stream lengths are known from the per-region streams;
-	// allocate each concatenation once and copy into place instead of
-	// growing through repeated append reallocation.
-	var nEb, nQ, nRaw int
-	for i := range streams {
-		nEb += len(streams[i].ebSyms)
-		nQ += len(streams[i].quantSyms)
-		nRaw += len(streams[i].raw)
+// sealResult seals the held streams of an in-memory encode into Result.
+func sealResult(ctx context.Context, f *field.Field, opts Options, tot *sectionTotals, held heldStreams, dec *field.Field, lossless *bitmap.Bitmap) (*Result, error) {
+	nx, ny, nz := f.Grid.Dims()
+	hdr := header{
+		dim: f.Dim(), nx: nx, ny: ny, nz: nz, mode: opts.Mode, predictor: opts.Predictor,
+		temporal: opts.Reference != nil, errBound: opts.ErrBound,
 	}
-	ebAll := make([]uint32, 0, nEb)
-	qAll := make([]uint32, 0, nQ)
-	rawAll := make([]byte, 0, nRaw)
-	for i := range streams {
-		ebAll = append(ebAll, streams[i].ebSyms...)
-		qAll = append(qAll, streams[i].quantSyms...)
-		rawAll = append(rawAll, streams[i].raw...)
-		for _, idx := range streams[i].marks {
-			lossless.Set(idx)
-		}
-	}
-	if c != nil {
-		c.Add(obs.CtrLosslessVertices, int64(lossless.Count()))
-	}
-	var bytes []byte
-	if err := c.Do(obs.StageEntropyEncode, parallel.Workers(opts.Workers), int64(len(ebAll)+len(qAll)), func() error {
-		var err error
-		bytes, err = serialize(ctx, f, opts, ebAll, qAll, rawAll)
-		return err
-	}); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(sealedHeaderBytes + tot.nRaw/2 + int(tot.hist[0].Total()+tot.hist[1].Total())/4)
+	if _, err := seal(ctx, &buf, hdr, tot, held, opts.Workers, opts.Collector); err != nil {
 		return nil, err
 	}
-	return &Result{Bytes: bytes, Decompressed: work, LosslessVertices: lossless}, nil
+	return &Result{Bytes: buf.Bytes(), Decompressed: dec, LosslessVertices: lossless}, nil
 }
 
 // compressRegion processes one region's vertices in row-major order,
 // deriving bounds from the current working field, quantizing residuals
-// against region-confined Lorenzo predictions, and overwriting work with
-// the decompressed values (Algorithm 1, line 11). Fully lossless vertices
-// are recorded in out.marks; the caller merges them into the shared bitmap
-// serially to avoid cross-region word races.
-func compressRegion(work, orig *field.Field, r region, opts Options, out *regionStreams) {
-	nx, ny, _ := orig.Grid.Dims()
+// against region-confined Lorenzo predictions (or the reference frame),
+// and overwriting work with the decompressed values (Algorithm 1, line
+// 11). p.local holds the original values and work the working values of
+// the region's planes plus the neighbor planes its cells reach; p.gid
+// translates local vertex ids to global ones, at which the forced-lossless
+// bitmap is read and fully lossless vertices are recorded in out.marks.
+func compressRegion(p *preparedRegion, work *field.Field, opts *Options, out *regionStreams) {
+	r := p.r
+	nx, ny, _ := p.local.Grid.Dims()
 	nxny := nx * ny
-	comps := orig.Components()
+	first := r.lo[0] + r.lo[1]*nx + r.lo[2]*nxny // the region's first local vertex
+	comps := p.local.Components()
 	workComps := work.Components()
 	var refComps [][]float32
-	if opts.Reference != nil {
-		refComps = opts.Reference.Components()
+	if p.ref != nil {
+		refComps = p.ref.Components()
 	}
 	refOf := func(c int) []float32 {
 		if refComps == nil {
@@ -118,16 +108,16 @@ func compressRegion(work, orig *field.Field, r region, opts Options, out *region
 		for j := r.lo[1]; j < r.hi[1]; j++ {
 			for i := r.lo[0]; i < r.hi[0]; i++ {
 				idx := i + j*nx + k*nxny
-				forced := opts.Lossless != nil && opts.Lossless.Get(idx)
+				forced := opts.Lossless != nil && opts.Lossless.Get(p.gid+idx)
 				storeLossless := forced
 				var derived float64
 				if !storeLossless {
 					switch {
-					case opts.ebFor != nil:
-						if eb, f := opts.ebFor(idx); f {
+					case p.bounds != nil:
+						if b := p.bounds[idx-first]; b < 0 {
 							storeLossless = true
 						} else {
-							derived = eb
+							derived = b
 						}
 					case opts.Plain:
 						derived = math.Inf(1)
@@ -160,7 +150,7 @@ func compressRegion(work, orig *field.Field, r region, opts Options, out *region
 							out.rawFloat(vals[idx])
 							workComps[c][idx] = vals[idx]
 						}
-						out.marks = append(out.marks, idx)
+						out.marks = append(out.marks, p.gid+idx)
 					}
 					continue
 				}
@@ -171,7 +161,7 @@ func compressRegion(work, orig *field.Field, r region, opts Options, out *region
 						out.rawFloat(vals[idx])
 						workComps[c][idx] = vals[idx]
 					}
-					out.marks = append(out.marks, idx)
+					out.marks = append(out.marks, p.gid+idx)
 					continue
 				}
 				xi := math.Min(opts.ErrBound, derived)
@@ -189,7 +179,7 @@ func compressRegion(work, orig *field.Field, r region, opts Options, out *region
 					quantizeOne(out, workComps[c], vals, refOf(c), nx, nxny, i, j, k, idx, r.lo, aeb, radius)
 				}
 				if allExact {
-					out.marks = append(out.marks, idx)
+					out.marks = append(out.marks, p.gid+idx)
 				}
 			}
 		}

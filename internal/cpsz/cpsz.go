@@ -10,6 +10,13 @@
 // exponent, SZ-style Lorenzo-predicted quantization codes, and verbatim
 // float32 values for lossless or unpredictable samples; the symbol streams
 // are Huffman coded and DEFLATE packed.
+//
+// One engine serves both Lorenzo entry points: a layer sweep over the slab
+// regions (sweep.go) and one section sealer (seal, format.go). Compress
+// sweeps views of the resident field and holds each region's streams as
+// they are; CompressStream sweeps a caller's LayerFetcher and holds them
+// as a Huffman spill (stream.go). The interpolation path (interp.go) is
+// serial and seals through the same writer.
 package cpsz
 
 import (
@@ -63,15 +70,25 @@ type Options struct {
 	// stream is then no longer self-contained — decode it with
 	// DecompressRef supplying the same reference. Shape must match f.
 	Reference *field.Field
+}
 
-	// ebFor, when set, supplies the derived per-vertex bound instead of
-	// the topology analysis: it returns the vertex's effective bound, or
-	// forced=true to store the vertex losslessly. The streaming path sets
-	// a per-region closure over EbFetcher-supplied bound slabs; it is nil
-	// everywhere else, so the in-memory output is unchanged by
-	// construction. Indices are in the coordinate space of the field being
-	// compressed (the local sub-field, on the streaming path).
-	ebFor func(idx int) (eb float64, forced bool)
+// validate checks the options both entry points share and names the
+// first it cannot encode: a header carries the mode and predictor, so an
+// unknown value must never reach the wire.
+func (o *Options) validate() error {
+	if !(o.ErrBound > 0) {
+		return fmt.Errorf("cpsz: error bound must be positive, got %v", o.ErrBound)
+	}
+	if o.Mode != ebound.Absolute && o.Mode != ebound.Relative {
+		return fmt.Errorf("cpsz: unknown error mode %d", o.Mode)
+	}
+	if o.Predictor != PredictorLorenzo && o.Predictor != PredictorInterpolation {
+		return fmt.Errorf("cpsz: unknown predictor %d", o.Predictor)
+	}
+	if o.SoS && o.Plain {
+		return errors.New("cpsz: SoS and Plain are mutually exclusive")
+	}
+	return nil
 }
 
 // Result is the outcome of Compress.
@@ -120,18 +137,12 @@ func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, 
 			return nil, err
 		}
 	}
-	if !(opts.ErrBound > 0) {
-		return nil, fmt.Errorf("cpsz: error bound must be positive, got %v", opts.ErrBound)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if opts.Lossless != nil && opts.Lossless.Len() != f.NumVertices() {
 		return nil, fmt.Errorf("cpsz: lossless bitmap has %d bits, field has %d vertices",
 			opts.Lossless.Len(), f.NumVertices())
-	}
-	if opts.SoS && opts.Plain {
-		return nil, errors.New("cpsz: SoS and Plain are mutually exclusive")
-	}
-	if opts.Predictor != PredictorLorenzo && opts.Predictor != PredictorInterpolation {
-		return nil, fmt.Errorf("cpsz: unknown predictor %d", opts.Predictor)
 	}
 	if opts.Reference != nil {
 		if opts.Predictor == PredictorInterpolation {
@@ -150,7 +161,7 @@ func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, 
 	if opts.Predictor == PredictorInterpolation {
 		return compressInterp(ctx, f, opts)
 	}
-	return compress(ctx, f, opts)
+	return compressResident(ctx, f, opts)
 }
 
 // Decompress reconstructs a field from a self-contained stream produced by

@@ -2,14 +2,19 @@ package cpsz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tspsz/internal/bitmap"
 	"tspsz/internal/critical"
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
+	"tspsz/internal/streamerr"
 )
 
 // gyre2D builds a smooth 2D field with a handful of critical points.
@@ -234,6 +239,46 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Compress(f, Options{Mode: ebound.Absolute, ErrBound: 1, Lossless: bitmap.New(3)}); err == nil {
 		t.Error("mismatched bitmap accepted")
+	}
+	// An unknown mode or predictor must be named, never written into a
+	// header byte the decoder would misread.
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Mode: ebound.Mode(7), ErrBound: 1}, "unknown error mode 7"},
+		{Options{Mode: ebound.Mode(-1), ErrBound: 1}, "unknown error mode -1"},
+		{Options{Mode: ebound.Absolute, ErrBound: 1, Predictor: Predictor(7)}, "unknown predictor 7"},
+	} {
+		if _, err := Compress(f, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", tc.opts, err, tc.want)
+		}
+	}
+}
+
+// TestRejectsResealedUnknownMode: a header whose mode byte names no error
+// mode, with its header CRC and the stream trailer resealed so every
+// checksum passes, is a header error for decode, the checksum scan and
+// salvage alike — it is never decoded as relative mode.
+func TestRejectsResealedUnknownMode(t *testing.T) {
+	res, err := Compress(gyre2D(16, 12), Options{Mode: ebound.Relative, ErrBound: 0.05, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []byte{2, 7, 255} {
+		bad := append([]byte{}, res.Bytes...)
+		bad[6] = mode
+		binary.LittleEndian.PutUint32(bad[headerBytes:], crc32.Checksum(bad[:headerBytes], crcTable))
+		bad = resealTrailer(bad)
+		if _, err := Decompress(bad, 1); !errors.Is(err, streamerr.ErrHeader) {
+			t.Errorf("mode byte %d: Decompress got %v, want ErrHeader", mode, err)
+		}
+		if fails := VerifyAll(bad); len(fails) != 1 || !errors.Is(fails[0], streamerr.ErrHeader) {
+			t.Errorf("mode byte %d: VerifyAll got %v, want one ErrHeader", mode, fails)
+		}
+		if _, _, err := Salvage(bad, 1); !errors.Is(err, streamerr.ErrHeader) {
+			t.Errorf("mode byte %d: Salvage got %v, want ErrHeader", mode, err)
+		}
 	}
 }
 

@@ -177,10 +177,7 @@ func packedSection(t testing.TB, syms []uint32, payload []byte, usize, csize int
 	if chunkCount(len(syms), chunkSymbols) != 1 {
 		t.Fatalf("packedSection wants a single-chunk section, got %d symbols", len(syms))
 	}
-	table, err := huffman.BuildTable(syms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := huffman.BuildTable(syms)
 	out := binary.AppendUvarint(nil, uint64(len(syms)))
 	out = table.AppendTable(out)
 	out = binary.AppendUvarint(out, 1) // chunk count

@@ -3,12 +3,13 @@ package cpsz
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 
 	"tspsz/internal/ebound"
-	"tspsz/internal/field"
 	"tspsz/internal/huffman"
 	"tspsz/internal/obs"
 	"tspsz/internal/parallel"
@@ -94,44 +95,6 @@ const (
 	trailerBytes      = 12
 )
 
-// serialize assembles the final stream: CRC-sealed header, chunked
-// mode-tagged symbol sections with per-chunk checksums, a chunked raw-float
-// section, and the whole-stream trailer. This mirrors SZ's Huffman +
-// lossless-backend pipeline with the entropy stage sharded across
-// opts.Workers.
-func serialize(ctx context.Context, f *field.Field, opts Options, ebSyms, quantSyms []uint32, raw []byte) ([]byte, error) {
-	c := opts.Collector
-	workers := parallel.Workers(opts.Workers)
-	out := make([]byte, 0, sealedHeaderBytes+len(raw)/2+(len(ebSyms)+len(quantSyms))/4)
-	nx, ny, nz := f.Grid.Dims()
-	out = appendHeader(out, header{
-		dim: f.Dim(), nx: nx, ny: ny, nz: nz, mode: opts.Mode, predictor: opts.Predictor,
-		temporal: opts.Reference != nil, errBound: opts.ErrBound,
-	})
-	c.Add(obs.CtrBytesStreamHeader, int64(len(out)))
-	var err error
-	for si, syms := range [][]uint32{ebSyms, quantSyms} {
-		mark := len(out)
-		if out, err = appendSymbolSection(ctx, out, syms, workers, c); err != nil {
-			return nil, err
-		}
-		ctr := obs.CtrBytesSectionEb
-		if si == 1 {
-			ctr = obs.CtrBytesSectionQuant
-		}
-		c.Add(ctr, int64(len(out)-mark))
-	}
-	mark := len(out)
-	if out, err = appendRawSection(ctx, out, raw, workers, c); err != nil {
-		return nil, err
-	}
-	c.Add(obs.CtrBytesSectionRaw, int64(len(out)-mark))
-	out = appendTrailer(out)
-	c.Add(obs.CtrBytesStreamTrailer, trailerBytes)
-	c.Add(obs.CtrBytesOut, int64(len(out)))
-	return out, nil
-}
-
 // appendHeader appends h as the sealed fixed header that readHeader reads
 // back: the headerBytes fields, then their CRC32C.
 func appendHeader(dst []byte, h header) []byte {
@@ -147,14 +110,6 @@ func appendHeader(dst []byte, h header) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.errBound))
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
-}
-
-// appendTrailer seals the stream: u64 length of everything before the
-// trailer, then the CRC32C of all preceding bytes (payload + length field,
-// so a tampered length field fails the checksum too).
-func appendTrailer(out []byte) []byte {
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(out)))
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
 // chunkCount returns how many fixed-extent chunks a section of n units
@@ -173,66 +128,22 @@ func chunkBound(n, cc, i int) (lo, hi int) {
 	return i * n / cc, (i + 1) * n / cc
 }
 
-// encChunk is one encoded chunk awaiting the serialize merge: its payload
-// (a chunkBufPool buffer whose ownership transfers to the merge), the
-// uncompressed size and mode for the directory entry, the payload CRC32C,
-// and the extent offset the merge assigns.
+// encChunk is one encoded chunk awaiting its section's write-out: its
+// payload (a chunkBufPool buffer whose ownership transfers to the section
+// writer), the uncompressed size and mode for the directory entry, and the
+// payload CRC32C.
 type encChunk struct {
 	payload []byte
 	usize   int
 	mode    byte
 	crc     uint32
-	off     int
-}
-
-// appendSymbolSection writes one symbol section: uvarint symbol count,
-// the shared canonical codebook, a uvarint chunk count, a directory of
-// per-chunk (uncompressed size, compressed size, mode, payload CRC32C)
-// entries, then the chunk payloads. Chunks are encoded and checksummed
-// concurrently; per chunk the encoder picks Huffman+DEFLATE or fixed-width
-// bit packing, a decision that depends only on the chunk contents and the
-// shared table, so archives stay byte-identical at any worker count.
-func appendSymbolSection(ctx context.Context, dst []byte, syms []uint32, workers int, c *obs.Collector) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(syms)))
-	if len(syms) == 0 {
-		return dst, nil
-	}
-	var table *huffman.Table
-	if err := c.Do(obs.StageHistogram, workers, int64(len(syms)), func() error {
-		var err error
-		table, err = huffman.BuildTableCtx(ctx, syms, workers)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	dst = table.AppendTable(dst)
-	n := len(syms)
-	cc := chunkCount(n, chunkSymbols)
-	workers = parallel.SizedWorkers(workers, cc, 4*int64(n), entropyWorkerBytes)
-	outs := make([]encChunk, cc)
-	err := parallel.For(ctx, cc, workers, 1, func(i int) error {
-		lo, hi := chunkBound(n, cc, i)
-		e, err := encodeSymChunk(table, syms[lo:hi])
-		if err != nil {
-			return err
-		}
-		outs[i] = e
-		return nil
-	})
-	if err != nil {
-		repoolChunks(outs)
-		return nil, err
-	}
-	c.Add(obs.CtrChunksEncoded, int64(cc))
-	return mergeChunks(dst, outs, workers)
 }
 
 // encodeSymChunk encodes one fixed-extent symbol chunk against the shared
 // table into a pooled payload buffer (ownership of the returned payload
 // transfers to the caller). The per-chunk mode decision depends only on
-// the chunk contents and the table, never on scheduling, so the in-memory
-// serialize path and the streaming writer produce identical bytes by
-// construction.
+// the chunk contents and the table, never on scheduling, so archives are
+// identical at any worker count.
 func encodeSymChunk(table *huffman.Table, chunk []uint32) (encChunk, error) {
 	slo, shi, hbits := table.ChunkBits(chunk)
 	k := uint8(bits.Len32(shi - slo))
@@ -296,35 +207,6 @@ func encodeRawChunk(chunk []byte) (encChunk, error) {
 	return e, nil
 }
 
-// appendRawSection writes the verbatim-float section with the same
-// directory layout as the symbol sections; chunks that DEFLATE cannot
-// shrink are stored verbatim (mode 1) so decode is a straight copy.
-func appendRawSection(ctx context.Context, dst []byte, raw []byte, workers int, c *obs.Collector) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	if len(raw) == 0 {
-		return dst, nil
-	}
-	n := len(raw)
-	cc := chunkCount(n, chunkRawBytes)
-	workers = parallel.SizedWorkers(workers, cc, int64(n), entropyWorkerBytes)
-	outs := make([]encChunk, cc)
-	err := parallel.For(ctx, cc, workers, 1, func(i int) error {
-		lo, hi := chunkBound(n, cc, i)
-		e, err := encodeRawChunk(raw[lo:hi])
-		if err != nil {
-			return err
-		}
-		outs[i] = e
-		return nil
-	})
-	if err != nil {
-		repoolChunks(outs)
-		return nil, err
-	}
-	c.Add(obs.CtrChunksEncoded, int64(cc))
-	return mergeChunks(dst, outs, workers)
-}
-
 // repoolChunks returns every payload the encode workers deposited before a
 // failure or cancellation ended the dispatch. All workers have joined by
 // the time the dispatcher returns its error, so the deposited buffers have
@@ -338,38 +220,9 @@ func repoolChunks(outs []encChunk) {
 	}
 }
 
-// mergeChunks appends the chunk directory to dst, then copies every chunk
-// payload into its pre-computed disjoint extent of a single grown region —
-// concurrently, since the extents are a prefix-sum partition — instead of
-// appending payloads one by one. Payload buffers return to the pool once
-// copied, also when a copy worker panics.
-func mergeChunks(dst []byte, outs []encChunk, workers int) ([]byte, error) {
-	dst = appendChunkDirectory(dst, outs)
-	total := 0
-	for i := range outs {
-		outs[i].off = total
-		total += len(outs[i].payload)
-	}
-	dst = growBytes(dst, total)
-	payload := dst[len(dst)-total:]
-	err := parallel.For(nil, len(outs), workers, 1, func(i int) error {
-		copy(payload[outs[i].off:outs[i].off+len(outs[i].payload)], outs[i].payload)
-		return nil
-	})
-	for i := range outs {
-		putChunkBuf(outs[i].payload)
-		outs[i].payload = nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // appendChunkDirectory appends the uvarint chunk count and one directory
 // entry per chunk: uvarint uncompressed size, uvarint payload size, mode
-// byte, payload CRC32C. Both writers use it, so their directories are
-// byte-identical by construction.
+// byte, payload CRC32C.
 func appendChunkDirectory(dst []byte, chunks []encChunk) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
 	for i := range chunks {
@@ -381,14 +234,239 @@ func appendChunkDirectory(dst []byte, chunks []encChunk) []byte {
 	return dst
 }
 
-// growBytes extends b by n bytes (contents of the extension unspecified;
-// the caller overwrites every byte) without the intermediate zeroed slice
-// an append(b, make([]byte, n)...) would allocate.
-func growBytes(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[: len(b)+n : cap(b)]
+// regionRuns is where each region's streams wait, in region order, from
+// the sweep until the section tables exist. The in-memory encoders hold
+// the streams themselves (heldStreams); CompressStream holds a Huffman
+// spill (streamSpill) and decodes one region's run at a time.
+type regionRuns interface {
+	// syms returns region r's symbols of symbol section si (0 eb, 1
+	// quant).
+	syms(si, r int) ([]uint32, error)
+	// raw returns region r's verbatim bytes.
+	raw(r int) ([]byte, error)
+	// stable reports whether a returned run stays valid until its section
+	// is sealed, so chunks may alias it; otherwise it is valid only until
+	// the next call.
+	stable() bool
+}
+
+// errRunsShort reports a broken engine invariant: the region runs hold
+// fewer units than the section totals the sweep counted.
+var errRunsShort = errors.New("cpsz: internal: region runs short of the swept section total")
+
+// heldStreams keeps every region's streams as the sweep produced them.
+type heldStreams []*regionStreams
+
+func (h heldStreams) syms(si, r int) ([]uint32, error) {
+	if r >= len(h) {
+		return nil, errRunsShort
 	}
-	grown := make([]byte, len(b)+n, max(2*cap(b), len(b)+n))
-	copy(grown, b)
-	return grown[:len(b)+n]
+	if si == 0 {
+		return h[r].ebSyms, nil
+	}
+	return h[r].quantSyms, nil
+}
+
+func (h heldStreams) raw(r int) ([]byte, error) {
+	if r >= len(h) {
+		return nil, errRunsShort
+	}
+	return h[r].raw, nil
+}
+
+func (h heldStreams) stable() bool { return true }
+
+// sectionTotals are the section histograms and lengths a sweep gathers
+// region by region; they fix each section's Huffman table and chunk
+// boundaries before any chunk is sealed.
+type sectionTotals struct {
+	hist  [2]huffman.Histogram // eb, quant
+	nRaw  int
+	marks int64 // fully lossless vertices
+}
+
+func (t *sectionTotals) observe(rs *regionStreams) {
+	t.hist[0].Observe(rs.ebSyms)
+	t.hist[1].Observe(rs.quantSyms)
+	t.nRaw += len(rs.raw)
+	t.marks += int64(len(rs.marks))
+}
+
+// seal writes one archive to w: the sealed header, the eb, quant and raw
+// sections, and the whole-stream trailer, charging the byte-partition
+// counters as it goes. Every encoder — the in-memory Lorenzo and
+// interpolation paths and CompressStream — ends here. It returns the
+// number of bytes written.
+func seal(ctx context.Context, w io.Writer, hdr header, tot *sectionTotals, runs regionRuns, workers int, c *obs.Collector) (int64, error) {
+	workers = parallel.Workers(workers)
+	var tables [2]*huffman.Table
+	for si := range tables {
+		h := &tot.hist[si]
+		if err := c.Do(obs.StageHistogram, 1, int64(h.Total()), func() error {
+			tables[si] = huffman.TableFromHistogram(h)
+			return nil
+		}); err != nil {
+			return 0, err
+		}
+	}
+	cw := &crcCountWriter{w: w}
+	err := c.Do(obs.StageEntropyEncode, workers, int64(tot.hist[0].Total()+tot.hist[1].Total()), func() error {
+		head := appendHeader(make([]byte, 0, sealedHeaderBytes), hdr)
+		if err := cw.write(head); err != nil {
+			return err
+		}
+		c.Add(obs.CtrBytesStreamHeader, int64(len(head)))
+		for si, ctr := range [...]obs.Counter{obs.CtrBytesSectionEb, obs.CtrBytesSectionQuant} {
+			mark, table := cw.n, tables[si]
+			if err := sealSection(ctx, cw, int(tot.hist[si].Total()), chunkSymbols, 4, table, workers, runs.stable(),
+				func(r int) ([]uint32, error) { return runs.syms(si, r) },
+				func(chunk []uint32) (encChunk, error) { return encodeSymChunk(table, chunk) }, c); err != nil {
+				return err
+			}
+			c.Add(ctr, cw.n-mark)
+		}
+		mark := cw.n
+		if err := sealSection(ctx, cw, tot.nRaw, chunkRawBytes, 1, nil, workers, runs.stable(), runs.raw, encodeRawChunk, c); err != nil {
+			return err
+		}
+		c.Add(obs.CtrBytesSectionRaw, cw.n-mark)
+		// The trailer: the length of everything before it, then the CRC32C
+		// of all preceding bytes, the length field included, so a tampered
+		// length fails the checksum too.
+		var tr [trailerBytes]byte
+		binary.LittleEndian.PutUint64(tr[:8], uint64(cw.n))
+		if err := cw.write(tr[:8]); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(tr[8:], cw.crc)
+		if err := cw.write(tr[8:]); err != nil {
+			return err
+		}
+		c.Add(obs.CtrBytesStreamTrailer, trailerBytes)
+		c.Add(obs.CtrBytesOut, cw.n)
+		return nil
+	})
+	return cw.n, err
+}
+
+// sealSection writes one section of n units: uvarint unit count, the
+// codebook of a symbol section, the chunk directory, then the chunk
+// payloads. Chunk boundaries come from n alone. A parallel.Pipeline
+// encodes the chunks: its serial prepare stage takes the next chunk from
+// the region runs in region order — a view when the chunk lies inside one
+// stable run, otherwise gathered into one of window reused buffers (the
+// pipeline never holds more than window chunks in flight, so no buffer is
+// refilled before its chunk is encoded) — and its workers encode each
+// chunk into that chunk's slot. A chunk's mode and bytes depend only on
+// its contents and the table, so the section is identical at any worker
+// count.
+func sealSection[E uint32 | byte](ctx context.Context, cw *crcCountWriter, n, extent, unitBytes int, table *huffman.Table, workers int, stable bool,
+	run func(r int) ([]E, error), encode func([]E) (encChunk, error), c *obs.Collector) error {
+	if n == 0 {
+		return cw.write([]byte{0}) // an empty section is its zero count
+	}
+	cc := chunkCount(n, extent)
+	// Sized for the widest uvarints, so the section head is built in place.
+	const v = binary.MaxVarintLen64
+	headBytes := 2*v + cc*(2*v+5)
+	if table != nil {
+		headBytes += v + table.Len()*(v+1)
+	}
+	head := binary.AppendUvarint(make([]byte, 0, headBytes), uint64(n))
+	if table != nil {
+		head = table.AppendTable(head)
+	}
+	workers = parallel.SizedWorkers(workers, cc, int64(unitBytes)*int64(n), entropyWorkerBytes)
+	window := 2 * workers
+	bufs := make([][]E, window)
+	chunks := make([]encChunk, cc)
+	var cur []E // the unread rest of region run next-1
+	next := 0
+	// take returns the next at most limit units of the concatenated runs.
+	take := func(limit int) ([]E, error) {
+		for len(cur) == 0 {
+			var err error
+			if cur, err = run(next); err != nil {
+				return nil, err
+			}
+			next++
+		}
+		part := cur[:min(limit, len(cur))]
+		cur = cur[len(part):]
+		return part, nil
+	}
+	err := parallel.Pipeline(ctx, cc, workers, window,
+		func(i int) ([]E, error) {
+			lo, hi := chunkBound(n, cc, i)
+			part, err := take(hi - lo)
+			if err != nil || (stable && len(part) == hi-lo) {
+				return part, err
+			}
+			if bufs[i%window] == nil {
+				bufs[i%window] = make([]E, 0, (n+cc-1)/cc)
+			}
+			buf := append(bufs[i%window][:0], part...)
+			for len(buf) < hi-lo {
+				if part, err = take(hi - lo - len(buf)); err != nil {
+					return nil, err
+				}
+				buf = append(buf, part...)
+			}
+			return buf, nil
+		},
+		func(i int, chunk []E) (struct{}, error) {
+			e, err := encode(chunk)
+			chunks[i] = e
+			return struct{}{}, err
+		},
+		func(int, struct{}) error { return nil })
+	if err == nil && len(cur) != 0 {
+		err = errors.New("cpsz: internal: region runs exceed the swept section total")
+	}
+	if err != nil {
+		repoolChunks(chunks)
+		return err
+	}
+	if err := cw.write(appendChunkDirectory(head, chunks)); err != nil {
+		repoolChunks(chunks)
+		return err
+	}
+	c.Add(obs.CtrChunksEncoded, int64(cc))
+	return writeChunkPayloads(cw, chunks)
+}
+
+// crcCountWriter forwards to w while keeping the running CRC32C and byte
+// count the trailer needs; the whole stream is written exactly once, never
+// buffered for a second checksum pass.
+type crcCountWriter struct {
+	w   io.Writer
+	n   int64
+	crc uint32
+}
+
+func (cw *crcCountWriter) write(p []byte) error {
+	n, err := cw.w.Write(p)
+	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
+	cw.n += int64(n)
+	if err != nil {
+		return err
+	}
+	if n != len(p) {
+		return io.ErrShortWrite
+	}
+	return nil
+}
+
+// writeChunkPayloads writes every payload in order, returning each pooled
+// buffer exactly once whether or not its write succeeds.
+func writeChunkPayloads(cw *crcCountWriter, chunks []encChunk) error {
+	for i := range chunks {
+		err := cw.write(chunks[i].payload)
+		putChunkBuf(chunks[i].payload)
+		chunks[i].payload = nil
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -72,7 +72,7 @@ func TestV4DeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// buildSymbolSection mirrors appendSymbolSection but lets the test tamper
+// buildSymbolSection mirrors the section writer but lets the test tamper
 // with the chunk directory before it is written, to model corrupt or
 // adversarial archives. The layout byte selects the directory columns:
 // formatVersion writes the v4 directory, while the retired layouts, which
@@ -81,10 +81,7 @@ func TestV4DeterministicAcrossWorkerCounts(t *testing.T) {
 // lets a lie claim otherwise.
 func buildSymbolSection(t testing.TB, syms []uint32, layout byte, tamper func(cc *uint64, usizes, csizes []uint64, crcs []uint32, modes []byte)) []byte {
 	t.Helper()
-	table, err := huffman.BuildTable(syms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := huffman.BuildTable(syms)
 	bounds := parallel.Ranges(len(syms), chunkCount(len(syms), chunkSymbols))
 	usizes := make([]uint64, len(bounds))
 	csizes := make([]uint64, len(bounds))
@@ -130,6 +127,32 @@ func manySyms(n int) []uint32 {
 	return syms
 }
 
+// sealedSymbolSection writes syms as one symbol section through the
+// archive's section writer, as a single held region, at two workers.
+func sealedSymbolSection(t testing.TB, syms []uint32) []byte {
+	t.Helper()
+	table := huffman.BuildTable(syms)
+	var buf bytes.Buffer
+	held := heldStreams{{ebSyms: syms}}
+	if err := sealSection(nil, &crcCountWriter{w: &buf}, len(syms), chunkSymbols, 4, table, 2, true,
+		func(r int) ([]uint32, error) { return held.syms(0, r) },
+		func(chunk []uint32) (encChunk, error) { return encodeSymChunk(table, chunk) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sealedRawSection is sealedSymbolSection for the raw section.
+func sealedRawSection(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	held := heldStreams{{raw: raw}}
+	if err := sealSection(nil, &crcCountWriter{w: &buf}, len(raw), chunkRawBytes, 1, nil, 2, true, held.raw, encodeRawChunk, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // legacyArchive frames a symbol section built in a retired directory
 // layout (v2 or v3) as an archive of that version: the unsealed fixed
 // header for v2; for v3 the sealed header and the whole-stream trailer.
@@ -143,7 +166,7 @@ func legacyArchive(layout byte, sec []byte) []byte {
 	out = append(out, sec...)
 	out = append(out, 0, 0) // empty quant and raw sections
 	if layout >= 3 {
-		out = appendTrailer(out)
+		out = refAppendTrailer(out)
 	}
 	return out
 }
@@ -381,10 +404,7 @@ func TestV4ChunkModes(t *testing.T) {
 		{"huffman", skewed, symChunkHuffman},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sec, err := appendSymbolSection(nil, nil, tc.syms, 2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sec := sealedSymbolSection(t, tc.syms)
 			for i, m := range readModes(t, sec, len(tc.syms), 0) {
 				if m != tc.mode {
 					t.Fatalf("chunk %d wrote mode %d, want %d", i, m, tc.mode)
@@ -422,10 +442,7 @@ func TestV4ChunkModes(t *testing.T) {
 		{"deflate", make([]byte, chunkRawBytes/4), rawChunkDeflate},
 	} {
 		t.Run("raw-"+tc.name, func(t *testing.T) {
-			sec, err := appendRawSection(nil, nil, tc.raw, 2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sec := sealedRawSection(t, tc.raw)
 			for i, m := range readModes(t, sec, len(tc.raw), 2) {
 				if m != tc.mode {
 					t.Fatalf("chunk %d wrote mode %d, want %d", i, m, tc.mode)
@@ -488,7 +505,7 @@ func TestPackedChunkLies(t *testing.T) {
 }
 
 // entropyFixture compresses a field large enough that every section spans
-// many chunks, and returns the pieces serialize/parse operate on.
+// many chunks, and returns the pieces the sealer and parse operate on.
 func entropyFixture(b *testing.B) (*field.Field, Options, []uint32, []uint32, []byte, []byte) {
 	b.Helper()
 	f := gyre2D(512, 512)
@@ -505,20 +522,32 @@ func entropyFixture(b *testing.B) (*field.Field, Options, []uint32, []uint32, []
 }
 
 // BenchmarkSerialize measures the entropy-coding stage of compression
-// (shared-codebook build, chunked Huffman, chunked DEFLATE) in isolation
-// across worker counts.
+// (shared-codebook build from the section histograms, chunked Huffman,
+// chunked DEFLATE, the header/sections/trailer write-out) in isolation
+// across worker counts, on the streams of the whole field held as one
+// region. The section histograms are the sweep's output — it observes each
+// region as the region is emitted — so they are gathered before the timer.
 func BenchmarkSerialize(b *testing.B) {
-	f, opts, ebSyms, quantSyms, raw, _ := entropyFixture(b)
+	f, opts, ebSyms, quantSyms, raw, stream := entropyFixture(b)
+	held := heldStreams{{ebSyms: ebSyms, quantSyms: quantSyms, raw: raw}}
+	var tot sectionTotals
+	tot.observe(held[0])
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			o := opts
 			o.Workers = workers
+			var res *Result
 			b.SetBytes(int64(f.SizeBytes()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := serialize(nil, f, o, ebSyms, quantSyms, raw); err != nil {
+				var err error
+				if res, err = sealResult(nil, f, o, &tot, held, nil, nil); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if !bytes.Equal(res.Bytes, stream) {
+				b.Fatal("sealed archive differs from Compress's")
 			}
 		})
 	}

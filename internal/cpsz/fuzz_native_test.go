@@ -55,10 +55,7 @@ func FuzzDecompressTruncated(f *testing.F) {
 	for i := range uniform {
 		uniform[i] = uint32(i % 64)
 	}
-	packedSec, err := appendSymbolSection(nil, nil, uniform, 1, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	packedSec := sealedSymbolSection(f, uniform)
 	f.Add(append(append([]byte{}, stream[:sealedHeaderBytes]...), packedSec...), uint16(0))
 	modeLie := buildSymbolSection(f, manySyms(chunkSymbols+10), formatVersion,
 		func(_ *uint64, _, _ []uint64, _ []uint32, modes []byte) { modes[0] = symChunkPacked })

@@ -17,7 +17,6 @@ import (
 	"tspsz/internal/ebound"
 	"tspsz/internal/field"
 	"tspsz/internal/obs"
-	"tspsz/internal/parallel"
 	"tspsz/internal/quantizer"
 )
 
@@ -207,19 +206,10 @@ func compressInterp(ctx context.Context, f *field.Field, opts Options) (*Result,
 	}); err != nil {
 		return nil, err
 	}
-	if col != nil {
-		col.Add(obs.CtrLosslessVertices, int64(lossless.Count()))
-	}
-
-	var bytes []byte
-	if err := col.Do(obs.StageEntropyEncode, parallel.Workers(opts.Workers), int64(len(out.ebSyms)+len(out.quantSyms)), func() error {
-		var err error
-		bytes, err = serialize(ctx, f, opts, out.ebSyms, out.quantSyms, out.raw)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return &Result{Bytes: bytes, Decompressed: work, LosslessVertices: lossless}, nil
+	col.Add(obs.CtrLosslessVertices, int64(lossless.Count()))
+	var tot sectionTotals
+	tot.observe(&out)
+	return sealResult(ctx, f, opts, &tot, heldStreams{&out}, work, lossless)
 }
 
 // reconstructInterp is the serial interpolation-path decoder.

@@ -61,6 +61,9 @@ func readHeader(data []byte) (hdr header, seal, err error) {
 	hdr.mode = ebound.Mode(data[6])
 	hdr.temporal = data[7]&temporalFlag != 0
 	hdr.predictor = Predictor(data[7] &^ temporalFlag)
+	if hdr.mode != ebound.Absolute && hdr.mode != ebound.Relative {
+		return hdr, seal, streamerr.Header("cpsz header", "unknown error mode %d", hdr.mode)
+	}
 	if hdr.predictor != PredictorLorenzo && hdr.predictor != PredictorInterpolation {
 		return hdr, seal, streamerr.Header("cpsz header", "unknown predictor %d", hdr.predictor)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tspsz/internal/datagen"
@@ -276,6 +277,20 @@ func TestStreamRejectsUnsupported(t *testing.T) {
 	for i, opts := range bad {
 		if _, err := CompressStream(nil, &buf, 8, 8, 16, field.Layers(f), nil, opts); err == nil {
 			t.Fatalf("bad option set %d accepted", i)
+		}
+	}
+	// Unknown modes and predictors are named by the validator both entry
+	// points share, not reported as unsupported features.
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Mode: ebound.Mode(7), ErrBound: 0.01}, "unknown error mode 7"},
+		{Options{Mode: ebound.Mode(-1), ErrBound: 0.01}, "unknown error mode -1"},
+		{Options{Mode: ebound.Absolute, ErrBound: 0.01, Predictor: Predictor(7)}, "unknown predictor 7"},
+	} {
+		if _, err := CompressStream(nil, &buf, 8, 8, 16, field.Layers(f), nil, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", tc.opts, err, tc.want)
 		}
 	}
 	if _, err := CompressStream(nil, &buf, 8, 8, 1, field.Layers(f), nil, ok); !errors.Is(err, streamerr.ErrHeader) {

@@ -7,8 +7,9 @@ import (
 	"tspsz/internal/streamerr"
 )
 
-// LayerFetcher feeds a 3D field into the streaming compressor one z-layer
-// at a time, so the raw data never needs to be resident as a whole. The
+// LayerFetcher feeds a field into the compressor's layer sweep one z-layer
+// at a time (one row at a time for a 2D field, which only the in-memory
+// path sweeps), so the raw data never needs to be resident as a whole. The
 // contract mirrors the fff exemplar's layer callbacks:
 //
 //   - Layer(k) returns the component planes of z-layer k: result[c] holds
@@ -59,12 +60,16 @@ type FrameFetcherFunc func(t int) (*Field, error)
 // Frame implements FrameFetcher.
 func (fn FrameFetcherFunc) Frame(t int) (*Field, error) { return fn(t) }
 
-// LayerView returns the component planes of z-layer k without copying:
-// each returned slice aliases the field's component storage. k must be in
-// [0, nz).
+// LayerView returns the component planes of layer k along the field's
+// slowest axis — z-layer k of a 3D field, row k of a 2D one — without
+// copying: each returned slice aliases the field's component storage. k
+// must be in [0, nz) in 3D and [0, ny) in 2D.
 func (f *Field) LayerView(k int) [][]float32 {
 	nx, ny, _ := f.Grid.Dims()
 	plane := nx * ny
+	if f.Dim() == 2 {
+		plane = nx
+	}
 	comps := f.Components()
 	out := make([][]float32, len(comps))
 	for c, vals := range comps {
@@ -80,17 +85,20 @@ type memLayers struct {
 }
 
 func (m memLayers) Layer(k int) ([][]float32, error) {
-	_, _, nz := m.f.Grid.Dims()
+	_, ny, nz := m.f.Grid.Dims()
+	if m.f.Dim() == 2 {
+		nz = ny
+	}
 	if k < 0 || k >= nz {
 		return nil, streamerr.Header("layer fetch", "layer %d outside [0, %d)", k, nz)
 	}
 	return m.f.LayerView(k), nil
 }
 
-// Layers adapts an in-memory field to a zero-copy LayerFetcher; every
-// Layer call returns views into the field's own storage. Useful for
-// differential testing and for callers that have the field resident but
-// want the streaming writer.
+// Layers adapts an in-memory field to a zero-copy LayerFetcher over its
+// LayerViews; every Layer call returns views into the field's own
+// storage. cpsz.Compress sweeps a resident field through it, and callers
+// that have the field resident can hand it to the streaming writer.
 func Layers(f *Field) LayerFetcher { return memLayers{f: f} }
 
 // FileLayers is a LayerFetcher over a TSPF file (the WriteTo layout: 4-byte

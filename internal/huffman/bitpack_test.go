@@ -67,10 +67,7 @@ func TestChunkBitsMatchesEncodeChunk(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint32(rng.Intn(97)) + 300
 	}
-	table, err := BuildTable(syms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := BuildTable(syms)
 	for _, chunk := range [][]uint32{syms[:1], syms[:37], syms[100:2100], syms} {
 		lo, hi, bits := table.ChunkBits(chunk)
 		wlo, whi := chunk[0], chunk[0]

@@ -6,48 +6,77 @@ import (
 	"testing"
 )
 
-// TestHistogramTableEquivalence pins the streaming contract: a table built
-// from incremental Observe calls over arbitrary splits of a stream is
-// bit-identical (wire form and encoded chunks) to BuildTable over the
-// whole stream.
+// TestHistogramTableEquivalence pins the incremental contract the
+// compressor relies on: a table built from per-region Observe calls, with
+// the regions observed in shuffled order, is bit-identical (wire form and
+// encoded chunks) to the table for the same per-symbol totals counted
+// independently. The streams cover overflow-map outliers and a long run
+// of ascending symbols, observed both at once and one region per symbol.
 func TestHistogramTableEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	syms := make([]uint32, 50000)
-	for i := range syms {
+	mixed := make([]uint32, 50000)
+	for i := range mixed {
 		switch rng.Intn(10) {
 		case 0:
-			syms[i] = ^uint32(0) // overflow-map outlier
+			mixed[i] = ^uint32(0) // overflow-map outlier
 		case 1:
-			syms[i] = uint32(denseSyms + rng.Intn(5))
+			mixed[i] = uint32(denseSyms + rng.Intn(5))
 		default:
-			syms[i] = uint32(rng.Intn(300))
+			mixed[i] = uint32(rng.Intn(300))
 		}
 	}
-	want, err := BuildTable(syms, 4)
-	if err != nil {
-		t.Fatal(err)
+	ascending := make([]uint32, 1<<16)
+	for i := range ascending {
+		ascending[i] = uint32(i)
 	}
-
-	var h Histogram
-	for lo := 0; lo < len(syms); {
-		hi := lo + 1 + rng.Intn(4096)
-		if hi > len(syms) {
-			hi = len(syms)
+	// regions cuts syms into pieces of 1..maxLen symbols.
+	regions := func(syms []uint32, maxLen int) [][]uint32 {
+		var out [][]uint32
+		for lo := 0; lo < len(syms); {
+			hi := min(lo+1+rng.Intn(maxLen), len(syms))
+			out = append(out, syms[lo:hi])
+			lo = hi
 		}
-		h.Observe(syms[lo:hi])
-		lo = hi
+		return out
 	}
-	if h.Total() != uint64(len(syms)) {
-		t.Fatalf("Total() = %d, want %d", h.Total(), len(syms))
-	}
-	got := TableFromHistogram(&h)
+	for _, tc := range []struct {
+		name    string
+		syms    []uint32
+		regions [][]uint32
+	}{
+		{"mixed", mixed, regions(mixed, 4096)},
+		{"ascending-one-region", ascending, [][]uint32{ascending}},
+		{"ascending-per-symbol", ascending, regions(ascending, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counts := make(map[uint32]uint64)
+			for _, s := range tc.syms {
+				counts[s]++
+			}
+			want := tableFromMerged(nil, counts)
 
-	if !bytes.Equal(want.AppendTable(nil), got.AppendTable(nil)) {
-		t.Fatal("histogram-built table differs from BuildTable wire form")
-	}
-	chunk := syms[:4096]
-	if !bytes.Equal(want.EncodeChunk(nil, chunk), got.EncodeChunk(nil, chunk)) {
-		t.Fatal("histogram-built table encodes chunks differently")
+			rng.Shuffle(len(tc.regions), func(i, j int) {
+				tc.regions[i], tc.regions[j] = tc.regions[j], tc.regions[i]
+			})
+			var h Histogram
+			for _, r := range tc.regions {
+				h.Observe(r)
+			}
+			if h.Total() != uint64(len(tc.syms)) {
+				t.Fatalf("Total() = %d, want %d", h.Total(), len(tc.syms))
+			}
+			got := TableFromHistogram(&h)
+			if !bytes.Equal(want.AppendTable(nil), got.AppendTable(nil)) {
+				t.Fatal("histogram-built table differs in wire form")
+			}
+			chunk := tc.syms[:4096]
+			if !bytes.Equal(want.EncodeChunk(nil, chunk), got.EncodeChunk(nil, chunk)) {
+				t.Fatal("histogram-built table encodes chunks differently")
+			}
+			if !bytes.Equal(BuildTable(tc.syms).AppendTable(nil), got.AppendTable(nil)) {
+				t.Fatal("BuildTable differs from the region-observed table")
+			}
+		})
 	}
 }
 

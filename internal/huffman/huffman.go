@@ -168,10 +168,7 @@ func Encode(symbols []uint32) ([]byte, error) {
 	if len(symbols) == 0 {
 		return out, nil
 	}
-	t, err := BuildTable(symbols, 1)
-	if err != nil {
-		return nil, err
-	}
+	t := BuildTable(symbols)
 	out = t.AppendTable(out)
 	return t.EncodeChunk(out, symbols), nil
 }

@@ -1,12 +1,9 @@
 package huffman
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"tspsz/internal/parallel"
 )
 
 // Table is a canonical Huffman codebook shared by every chunk of a symbol
@@ -43,10 +40,6 @@ type tentry struct {
 // Len reports the number of distinct symbols in the codebook.
 func (t *Table) Len() int { return len(t.syms) }
 
-// histogramParts bounds the number of partial frequency tables built by
-// BuildTable; symbols below this count are histogrammed serially.
-const histogramParts = 1 << 15
-
 // denseSyms bounds the symbol range counted with array indexing instead of
 // map operations. It covers both production alphabets — quantization codes
 // zigzag to at most 2*radius = 1<<16 and error-bound exponents stay tiny —
@@ -54,87 +47,17 @@ const histogramParts = 1 << 15
 // spill into a small overflow map.
 const denseSyms = 1 << 17
 
-// partialHist is one range's frequency table: array counts for symbols
-// below denseSyms, a map for the rare large outliers.
-type partialHist struct {
-	dense []uint64
-	rest  map[uint32]uint64
-}
-
-// BuildTable constructs the canonical codebook for a symbol stream using a
-// parallel histogram reduction: per-range frequency tables are computed
-// concurrently and merged once. The merged totals are sums, so the
-// resulting table — and every byte encoded against it — is independent of
-// the worker count. A nil-alphabet table (len(symbols) == 0) is valid and
-// encodes only empty chunks. A panic in the reduction workers is contained
-// and returned as an error rather than crashing the process.
-func BuildTable(symbols []uint32, workers int) (*Table, error) {
-	return BuildTableCtx(nil, symbols, workers)
-}
-
-// BuildTableCtx is BuildTable with cancellation: the histogram reduction
-// checks ctx at range boundaries and returns the context's error (verbatim)
-// if the build is abandoned. A nil ctx never cancels.
-func BuildTableCtx(ctx context.Context, symbols []uint32, workers int) (*Table, error) {
-	if len(symbols) == 0 {
-		return &Table{}, nil
-	}
-	parts := parallel.Workers(workers)
-	if len(symbols) < histogramParts {
-		parts = 1
-	}
-	ranges := parallel.Ranges(len(symbols), parts)
-	partial := make([]partialHist, len(ranges))
-	if err := parallel.For(ctx, len(ranges), workers, 1, func(r int) error {
-		seg := symbols[ranges[r][0]:ranges[r][1]]
-		// Size the count array to the largest dense symbol actually present
-		// so sparse alphabets (relative mode tops out near 400) do not pay
-		// for the full denseSyms range.
-		var top uint32
-		for _, s := range seg {
-			if s < denseSyms && s > top {
-				top = s
-			}
-		}
-		h := partialHist{dense: make([]uint64, int(top)+1)}
-		for _, s := range seg {
-			if s < denseSyms {
-				h.dense[s]++
-			} else {
-				if h.rest == nil {
-					h.rest = make(map[uint32]uint64)
-				}
-				h.rest[s]++
-			}
-		}
-		partial[r] = h
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	merged := partial[0]
-	for _, h := range partial[1:] {
-		if len(h.dense) > len(merged.dense) {
-			merged.dense, h.dense = h.dense, merged.dense
-		}
-		for s, c := range h.dense {
-			merged.dense[s] += c
-		}
-		//lint:allow determinism summing commutes; the merged totals are range-independent and keys are sorted below
-		for s, c := range h.rest {
-			if merged.rest == nil {
-				merged.rest = make(map[uint32]uint64)
-			}
-			merged.rest[s] += c
-		}
-	}
-	return tableFromMerged(merged.dense, merged.rest), nil
+// BuildTable constructs the canonical codebook for a whole symbol stream
+// (huffman.Encode's single-chunk table). A nil-alphabet table
+// (len(symbols) == 0) is valid and encodes only empty chunks.
+func BuildTable(symbols []uint32) *Table {
+	var h Histogram
+	h.Observe(symbols)
+	return TableFromHistogram(&h)
 }
 
 // tableFromMerged builds the canonical codebook from final frequency
-// totals: array counts for dense symbols plus an overflow map. Both
-// BuildTableCtx (parallel reduction) and TableFromHistogram (incremental
-// streaming accumulation) funnel through here, so the resulting table —
+// totals: array counts for dense symbols plus an overflow map. The table —
 // and every chunk encoded against it — depends only on the totals, not on
 // how they were gathered.
 func tableFromMerged(dense []uint64, rest map[uint32]uint64) *Table {

@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -21,18 +20,9 @@ func skewedSymbols(n int, seed int64) []uint32 {
 	return s
 }
 
-func mustBuild(t testing.TB, syms []uint32, workers int) *Table {
-	t.Helper()
-	table, err := BuildTable(syms, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return table
-}
-
 func TestTableChunkedRoundTrip(t *testing.T) {
 	syms := skewedSymbols(50000, 11)
-	table := mustBuild(t, syms, 4)
+	table := BuildTable(syms)
 	wire := table.AppendTable(nil)
 	parsed, consumed, err := ParseTable(wire, uint64(len(syms)))
 	if err != nil {
@@ -63,23 +53,9 @@ func TestTableChunkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuildTableWorkerIndependent is the codebook half of the archive
-// determinism guarantee: the histogram reduction must merge to the same
-// table (and therefore the same wire bytes) for every worker count.
-func TestBuildTableWorkerIndependent(t *testing.T) {
-	syms := skewedSymbols(1<<16, 3)
-	ref := mustBuild(t, syms, 1).AppendTable(nil)
-	for _, workers := range []int{2, 3, 4, 8, 13} {
-		got := mustBuild(t, syms, workers).AppendTable(nil)
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("table bytes differ between workers=1 and workers=%d", workers)
-		}
-	}
-}
-
 func TestDecodeChunkRejectsBadCounts(t *testing.T) {
 	syms := skewedSymbols(1000, 7)
-	table := mustBuild(t, syms, 1)
+	table := BuildTable(syms)
 	chunk := table.EncodeChunk(nil, syms)
 	parsed, _, err := ParseTable(table.AppendTable(nil), uint64(len(syms)))
 	if err != nil {
@@ -98,7 +74,7 @@ func TestDecodeChunkRejectsBadCounts(t *testing.T) {
 
 func TestDecodeChunkTruncatedPayload(t *testing.T) {
 	syms := skewedSymbols(5000, 9)
-	table := mustBuild(t, syms, 2)
+	table := BuildTable(syms)
 	chunk := table.EncodeChunk(nil, syms)
 	parsed, _, err := ParseTable(table.AppendTable(nil), uint64(len(syms)))
 	if err != nil {
@@ -113,10 +89,10 @@ func TestDecodeChunkTruncatedPayload(t *testing.T) {
 }
 
 func TestBuildTableEmptyAndSingle(t *testing.T) {
-	if got := mustBuild(t, nil, 4).Len(); got != 0 {
+	if got := BuildTable(nil).Len(); got != 0 {
 		t.Fatalf("empty table has %d symbols", got)
 	}
-	table := mustBuild(t, []uint32{42, 42, 42}, 4)
+	table := BuildTable([]uint32{42, 42, 42})
 	chunk := table.EncodeChunk(nil, []uint32{42, 42, 42})
 	parsed, _, err := ParseTable(table.AppendTable(nil), 3)
 	if err != nil {

@@ -3,9 +3,10 @@ package tspsz
 // Out-of-core streaming compression: the field is pulled layer-by-layer (or
 // frame-by-frame for sequences) through the compression pipeline with a
 // bounded window of slabs in flight, and the archive is written to an
-// io.Writer as it seals. Peak memory is proportional to the window, not the
-// field, so fields far larger than RAM compress from disk. See DESIGN.md
-// §"Streaming and out-of-core compression".
+// io.Writer as it seals. Peak memory follows the window and the compressed
+// spill the sweep holds, not the field, so fields far larger than RAM
+// compress from disk. See DESIGN.md §10 "Streaming & out-of-core
+// compression".
 
 import (
 	"context"
@@ -57,10 +58,13 @@ func FieldLayers(f *Field) LayerFetcher { return field.Layers(f) }
 
 // CompressStream compresses an nx×ny×nz 3D field supplied layer-by-layer,
 // writing the archive to w. Peak memory is bounded by the in-flight slab
-// window (O(nx·ny·workers) vertices plus O(archive) sealed chunks), not the
-// field size. The archive is byte-identical to Compress with Variant TspSZ1
-// for fields whose skeleton demands no lossless vertices, and decodes with
-// Decompress either way.
+// window (O(nx·ny·workers) vertices), the spill that holds each region's
+// symbols Huffman-coded until the section tables exist (close to the
+// archive's size on real data, about one bit per symbol on near-constant
+// data) and one section's encoded chunks — not by the field size. The
+// archive is byte-identical to Compress with Variant TspSZ1 for fields
+// whose skeleton demands no lossless vertices, and decodes with Decompress
+// either way.
 //
 // With eb nil the sweep derives the same per-vertex bounds as the in-memory
 // revised cpSZ, so the error bound holds and every critical point survives
