@@ -121,15 +121,17 @@ stream-suite:
 
 # Perf-trajectory harness: run the key hot-path benchmarks BENCH_COUNT
 # times each and record the mean ns/op, B/op, and allocs/op per benchmark
-# in $(BENCH_JSON). The JSON is committed so later PRs diff their run
-# against this baseline instead of guessing.
-BENCH_JSON ?= BENCH_pr10.json
+# in $(BENCH_JSON). A bare `make bench` writes the git-ignored
+# bench_out.json; a baseline is recorded only when named, e.g.
+# `make bench BENCH_JSON=BENCH_prNN.json`, and that file is committed so
+# later changes diff their run against it instead of guessing.
+BENCH_JSON ?= bench_out.json
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 1s
 BENCH_BASELINE ?= BENCH_pr19.json
 
 bench:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCompressAbs2D|BenchmarkDecompressAbs2D|BenchmarkSerialize|BenchmarkParse)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkCompressAbs2D|BenchmarkCompressWindow3D|BenchmarkDecompressAbs2D|BenchmarkSerialize|BenchmarkParse)$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/cpsz | tee bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkEncode|BenchmarkDecode)$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/huffman | tee -a bench_raw.txt
@@ -180,4 +182,4 @@ figures:
 	$(GO) run ./cmd/topoviz -mode lic -dataset cba -out fig_lic_cba.png
 
 clean:
-	rm -f cover.out experiments_output.txt fig_*.png bench_raw.txt bench_smoke.json profile_smoke*
+	rm -f cover.out experiments_output.txt fig_*.png bench_raw.txt bench_smoke.json bench_out.json profile_smoke*

@@ -27,6 +27,30 @@ func (rs *regionStreams) rawFloat(v float32) {
 	rs.raw = append(rs.raw, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
 }
 
+// reset empties the streams, keeping their capacity.
+func (rs *regionStreams) reset() {
+	rs.ebSyms = rs.ebSyms[:0]
+	rs.quantSyms = rs.quantSyms[:0]
+	rs.raw = rs.raw[:0]
+	rs.marks = rs.marks[:0]
+}
+
+// streamEnds holds the lengths of a regionStreams' eb, quant, raw and
+// marks streams at one point of its sweep.
+type streamEnds [4]int
+
+func (rs *regionStreams) ends() streamEnds {
+	return streamEnds{len(rs.ebSyms), len(rs.quantSyms), len(rs.raw), len(rs.marks)}
+}
+
+// appendRun appends the part of src's streams between the ends a and b.
+func (rs *regionStreams) appendRun(src *regionStreams, a, b streamEnds) {
+	rs.ebSyms = append(rs.ebSyms, src.ebSyms[a[0]:b[0]]...)
+	rs.quantSyms = append(rs.quantSyms, src.quantSyms[a[1]:b[1]]...)
+	rs.raw = append(rs.raw, src.raw[a[2]:b[2]]...)
+	rs.marks = append(rs.marks, src.marks[a[3]:b[3]]...)
+}
+
 // compressResident is the Lorenzo path over a resident field: the layer
 // sweep runs over zero-copy views of f along the partition axis, its serial
 // emit stage fills the reconstruction and the lossless bitmap, and each
@@ -77,15 +101,19 @@ func sealResult(ctx context.Context, f *field.Field, opts Options, tot *sectionT
 	return &Result{Bytes: buf.Bytes(), Decompressed: dec, LosslessVertices: lossless}, nil
 }
 
-// compressRegion processes one region's vertices in row-major order,
-// deriving bounds from the current working field, quantizing residuals
-// against region-confined Lorenzo predictions (or the reference frame),
-// and overwriting work with the decompressed values (Algorithm 1, line
-// 11). p.local holds the original values and work the working values of
-// the region's planes plus the neighbor planes its cells reach; p.gid
-// translates local vertex ids to global ones, at which the forced-lossless
-// bitmap is read and fully lossless vertices are recorded in out.marks.
-func compressRegion(p *preparedRegion, work *field.Field, opts *Options, out *regionStreams) {
+// compressBox compresses the vertices of box, a sub-box of region p.r
+// spanning all of the region's planes, in row-major order: it derives
+// bounds from the current working field, quantizes residuals against
+// Lorenzo predictions confined to the region (not the box) or against the
+// reference frame, and overwrites work with the decompressed values
+// (Algorithm 1, line 11). p.local holds the original values and work the
+// working values of the region's planes plus the neighbor planes its cells
+// reach; p.gid translates local vertex ids to global ones, at which the
+// forced-lossless bitmap is read and fully lossless vertices are recorded
+// in out.marks. With box == p.r this is the raster sweep of the whole
+// region; a tile of the wave sweep passes rows, and after each of its
+// rows (one (j, k) pair) rows[n] receives the ends of out's streams.
+func compressBox(p *preparedRegion, work *field.Field, opts *Options, box region, out *regionStreams, rows []streamEnds) {
 	r := p.r
 	nx, ny, _ := p.local.Grid.Dims()
 	nxny := nx * ny
@@ -104,9 +132,10 @@ func compressRegion(p *preparedRegion, work *field.Field, opts *Options, out *re
 	}
 	radius := int32(quantizer.DefaultRadius)
 
-	for k := r.lo[2]; k < r.hi[2]; k++ {
-		for j := r.lo[1]; j < r.hi[1]; j++ {
-			for i := r.lo[0]; i < r.hi[0]; i++ {
+	row := 0
+	for k := box.lo[2]; k < box.hi[2]; k++ {
+		for j := box.lo[1]; j < box.hi[1]; j++ {
+			for i := box.lo[0]; i < box.hi[0]; i++ {
 				idx := i + j*nx + k*nxny
 				forced := opts.Lossless != nil && opts.Lossless.Get(p.gid+idx)
 				storeLossless := forced
@@ -181,6 +210,10 @@ func compressRegion(p *preparedRegion, work *field.Field, opts *Options, out *re
 				if allExact {
 					out.marks = append(out.marks, p.gid+idx)
 				}
+			}
+			if rows != nil {
+				rows[row] = out.ends()
+				row++
 			}
 		}
 	}

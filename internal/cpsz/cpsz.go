@@ -17,6 +17,15 @@
 // they are; CompressStream sweeps a caller's LayerFetcher and holds them
 // as a Huffman spill (stream.go). The interpolation path (interp.go) is
 // serial and seals through the same writer.
+//
+// The sweep is parallel at two levels: slab regions side by side, and,
+// inside a region, 4×4-vertex tiles (spanning all of the region's planes)
+// in anti-diagonal waves on the workers the region level leaves idle, so a
+// field too thin for more than one slab still compresses on every worker.
+// Every bound and prediction reads only vertices at componentwise
+// non-negative or non-positive offsets, so the waves read exactly what the
+// raster order reads and every archive is the raster order's, byte for
+// byte (sweep.go gives the argument).
 package cpsz
 
 import (

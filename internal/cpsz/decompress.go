@@ -171,7 +171,8 @@ func reconstructLorenzo(ctx context.Context, f, ref *field.Field, hdr header, eb
 }
 
 // reconstructRegion replays one region's vertices in row-major order,
-// mirroring compressRegion exactly.
+// the order the compressor's stitched region streams are in, mirroring
+// compressBox exactly.
 func reconstructRegion(f, ref *field.Field, r region, hdr header, ebSyms, quantSyms []uint32, raw []byte, off regionOffsets) error {
 	nx, ny, _ := f.Grid.Dims()
 	nxny := nx * ny

@@ -2,7 +2,8 @@ package cpsz
 
 // The pre-engine in-memory encoder, kept as a test-only oracle: the whole
 // field is cloned, slab interiors and then boundary planes run through
-// compressRegion with parallel.For, the region streams are concatenated,
+// the raster region kernel (refCompressRegion, each region in one
+// row-major sweep) with parallel.For, the region streams are concatenated,
 // and the batch section encoders (one parallel.For over chunk slices, a
 // parallel merge into one grown buffer) serialize them. Compress must
 // match it byte for byte; FuzzCompressEngine and the differentials below
@@ -22,6 +23,7 @@ import (
 	"tspsz/internal/field"
 	"tspsz/internal/huffman"
 	"tspsz/internal/parallel"
+	"tspsz/internal/quantizer"
 )
 
 // refCompress is the reference Lorenzo-path encoder.
@@ -40,13 +42,13 @@ func refCompress(ctx context.Context, f *field.Field, opts Options) (*Result, er
 	// interior is reachable through any adjacent cell. Stage 2: boundary
 	// planes, whose adjacent cells reach only finalized interiors.
 	if err := parallel.For(ctx, len(interiors), opts.Workers, 1, func(i int) error {
-		compressRegion(regionOf(interiors[i]), work, &opts, &streams[i])
+		refCompressRegion(regionOf(interiors[i]), work, &opts, &streams[i])
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	if err := parallel.For(ctx, len(boundaries), opts.Workers, 1, func(i int) error {
-		compressRegion(regionOf(boundaries[i]), work, &opts, &streams[len(interiors)+i])
+		refCompressRegion(regionOf(boundaries[i]), work, &opts, &streams[len(interiors)+i])
 		return nil
 	}); err != nil {
 		return nil, err
@@ -67,6 +69,117 @@ func refCompress(ctx context.Context, f *field.Field, opts Options) (*Result, er
 		return nil, err
 	}
 	return &Result{Bytes: out, Decompressed: work, LosslessVertices: lossless}, nil
+}
+
+// refCompressRegion is the raster region kernel the engine replaced with
+// tile waves, kept verbatim: it processes one region's vertices in
+// row-major order, deriving bounds from the current working field,
+// quantizing residuals against region-confined Lorenzo predictions (or
+// the reference frame), and overwriting work with the decompressed values
+// (Algorithm 1, line 11). p.local holds the original values and work the
+// working values of the region's planes plus the neighbor planes its
+// cells reach; p.gid translates local vertex ids to global ones, at which
+// the forced-lossless bitmap is read and fully lossless vertices are
+// recorded in out.marks.
+func refCompressRegion(p *preparedRegion, work *field.Field, opts *Options, out *regionStreams) {
+	r := p.r
+	nx, ny, _ := p.local.Grid.Dims()
+	nxny := nx * ny
+	first := r.lo[0] + r.lo[1]*nx + r.lo[2]*nxny // the region's first local vertex
+	comps := p.local.Components()
+	workComps := work.Components()
+	var refComps [][]float32
+	if p.ref != nil {
+		refComps = p.ref.Components()
+	}
+	refOf := func(c int) []float32 {
+		if refComps == nil {
+			return nil
+		}
+		return refComps[c]
+	}
+	radius := int32(quantizer.DefaultRadius)
+
+	for k := r.lo[2]; k < r.hi[2]; k++ {
+		for j := r.lo[1]; j < r.hi[1]; j++ {
+			for i := r.lo[0]; i < r.hi[0]; i++ {
+				idx := i + j*nx + k*nxny
+				forced := opts.Lossless != nil && opts.Lossless.Get(p.gid+idx)
+				storeLossless := forced
+				var derived float64
+				if !storeLossless {
+					switch {
+					case p.bounds != nil:
+						if b := p.bounds[idx-first]; b < 0 {
+							storeLossless = true
+						} else {
+							derived = b
+						}
+					case opts.Plain:
+						derived = math.Inf(1)
+					case opts.SoS:
+						derived = ebound.VertexBoundSoS(work, idx, opts.Mode)
+					default:
+						if eb, hasCP := ebound.VertexBound(work, idx, opts.Mode); hasCP {
+							storeLossless = true
+						} else {
+							derived = eb
+						}
+					}
+				}
+				if opts.Mode == ebound.Absolute {
+					if !storeLossless {
+						target := math.Min(opts.ErrBound, derived)
+						sym, aeb := absSymbol(opts.ErrBound, target)
+						if sym == absLosslessSym {
+							storeLossless = true
+						} else {
+							out.ebSyms = append(out.ebSyms, sym)
+							for c, vals := range comps {
+								quantizeOne(out, workComps[c], vals, refOf(c), nx, nxny, i, j, k, idx, r.lo, aeb, radius)
+							}
+						}
+					}
+					if storeLossless {
+						out.ebSyms = append(out.ebSyms, absLosslessSym)
+						for c, vals := range comps {
+							out.rawFloat(vals[idx])
+							workComps[c][idx] = vals[idx]
+						}
+						out.marks = append(out.marks, p.gid+idx)
+					}
+					continue
+				}
+				// Relative mode: per-component symbols.
+				if storeLossless {
+					for c, vals := range comps {
+						out.ebSyms = append(out.ebSyms, relExactSym)
+						out.rawFloat(vals[idx])
+						workComps[c][idx] = vals[idx]
+					}
+					out.marks = append(out.marks, p.gid+idx)
+					continue
+				}
+				xi := math.Min(opts.ErrBound, derived)
+				allExact := true
+				for c, vals := range comps {
+					target := xi * math.Abs(float64(vals[idx]))
+					sym, aeb := relSymbol(target)
+					out.ebSyms = append(out.ebSyms, sym)
+					if sym == relExactSym {
+						out.rawFloat(vals[idx])
+						workComps[c][idx] = vals[idx]
+						continue
+					}
+					allExact = false
+					quantizeOne(out, workComps[c], vals, refOf(c), nx, nxny, i, j, k, idx, r.lo, aeb, radius)
+				}
+				if allExact {
+					out.marks = append(out.marks, p.gid+idx)
+				}
+			}
+		}
+	}
 }
 
 // refSerialize assembles the stream from whole-section symbol slices.
@@ -177,6 +290,9 @@ func refMergeChunks(dst []byte, outs []encChunk, workers int) ([]byte, error) {
 
 // TestEngineMatchesReference holds Compress to refCompress on the pinned
 // fields across every input the engine carries, at several worker counts.
+// The many-slab fields give every region one worker; the one-slab fields
+// (a 32×32×8 hurricane window, a 64×12 ocean strip) are single regions,
+// which at workers > 1 run their tiles in waves.
 func TestEngineMatchesReference(t *testing.T) {
 	ocean := datagen.Ocean(64, 96) // 2D: many row slabs
 	hurricane := datagen.Hurricane(16, 12, 40)
@@ -184,6 +300,12 @@ func TestEngineMatchesReference(t *testing.T) {
 	for idx := 0; idx < hurricane.NumVertices(); idx += 5 {
 		forced.Set(idx)
 	}
+	window := datagen.Hurricane(32, 32, 8) // one slab
+	windowForced := bitmap.New(window.NumVertices())
+	for idx := 0; idx < window.NumVertices(); idx += 7 {
+		windowForced.Set(idx)
+	}
+	strip := datagen.Ocean(64, 12) // one row slab
 	shifted := func(f *field.Field) *field.Field {
 		g := f.Clone()
 		for _, comp := range g.Components() {
@@ -203,6 +325,9 @@ func TestEngineMatchesReference(t *testing.T) {
 		{"plain-2d-ref", ocean, Options{Mode: ebound.Absolute, ErrBound: 1e-2, Plain: true, Reference: shifted(ocean)}},
 		{"abs-3d-bitmap", hurricane, Options{Mode: ebound.Absolute, ErrBound: 5e-3, Lossless: forced}},
 		{"rel-3d-ref", hurricane, Options{Mode: ebound.Relative, ErrBound: 5e-2, Reference: shifted(hurricane)}},
+		{"abs-3d-window-bitmap", window, Options{Mode: ebound.Absolute, ErrBound: 5e-3, Lossless: windowForced}},
+		{"rel-3d-window-ref", window, Options{Mode: ebound.Relative, ErrBound: 5e-2, Reference: shifted(window)}},
+		{"abs-2d-strip", strip, Options{Mode: ebound.Absolute, ErrBound: 1e-2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,7 +335,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 5} {
+			for _, workers := range []int{1, 2, 3, 8} {
 				opts := tc.opts
 				opts.Workers = workers
 				got, err := Compress(tc.f, opts)
@@ -240,10 +365,11 @@ func marshalBitmap(t testing.TB, b *bitmap.Bitmap) []byte {
 
 // engineCase decodes one fuzz input into a field and options. Byte 0 is a
 // flag set (3D, absolute mode, SoS, Plain, forced-lossless bitmap,
-// temporal reference, constant field); bytes 1–3 the extents, 2–12 across
-// the partition axis and 2–40 along it, so slabs and cut planes occur;
-// byte 4 the error bound. The remaining bytes pick the values: a smooth
-// field with byte-driven noise, NaN, +Inf and -Inf.
+// temporal reference, constant field, tie-heavy field); bytes 1–3 the
+// extents, 2–12 across the partition axis and 2–40 along it, so slabs and
+// cut planes occur; byte 4 the error bound. The remaining bytes pick the
+// values: a smooth field with byte-driven noise, NaN, +Inf and -Inf, or,
+// with the tie-heavy flag, one of the fields of tieValue.
 func engineCase(data []byte) (*field.Field, Options, bool) {
 	if len(data) < 6 {
 		return nil, Options{}, false
@@ -281,6 +407,11 @@ func engineCase(data []byte) (*field.Field, Options, bool) {
 		smooth := math.Sin(0.7*p[0]+float64(c)) * math.Cos(0.5*p[1]-0.3*p[2])
 		return float32(scale * (smooth + (float64(b)/255-0.5)/4))
 	}
+	if flags&128 != 0 && flags&64 == 0 {
+		value = func(i, c int, scale float64) float32 {
+			return tieValue(f, vals, i, c, scale)
+		}
+	}
 	for c, comp := range f.Components() {
 		for i := range comp {
 			comp[i] = value(i, c, 1)
@@ -306,6 +437,35 @@ func engineCase(data []byte) (*field.Field, Options, bool) {
 	return f, opts, true
 }
 
+// tieValue is the value of component c at vertex i of a tie-heavy field,
+// whose exact-zero determinants and lossless runs land anywhere, tile
+// borders included. vals[0] picks the kind:
+//   - 0: a smooth field with byte-driven noise, rounded to a 1/8 lattice;
+//   - 1: constant layers along the partition axis, one vertex perturbed;
+//   - 2: the first row repeated along every other axis.
+func tieValue(f *field.Field, vals []byte, i, c int, scale float64) float32 {
+	x, y, z := f.Grid.VertexCoords(i)
+	layer := z
+	if f.Dim() == 2 {
+		layer = y
+	}
+	eighths := func(b byte) float32 { return float32(scale) * float32(int(b)%16-8) / 8 }
+	switch vals[0] % 3 {
+	case 0:
+		b := vals[(3*i+c)%len(vals)]
+		smooth := math.Sin(0.7*float64(x)+float64(c)) * math.Cos(0.5*float64(y)-0.3*float64(z))
+		return float32(math.Round(8*scale*(smooth+(float64(b)/255-0.5)/4)) / 8)
+	case 1:
+		v := eighths(vals[(layer+c)%len(vals)])
+		if i == 7*int(vals[len(vals)-1])%f.NumVertices() {
+			v += float32(c+1) / 8
+		}
+		return v
+	default:
+		return eighths(vals[(3*x+c)%len(vals)])
+	}
+}
+
 // sameBits compares two fields bit for bit (NaN payloads included).
 func sameBits(t *testing.T, what string, a, b *field.Field) {
 	t.Helper()
@@ -324,7 +484,9 @@ func sameBits(t *testing.T, what string, a, b *field.Field) {
 // for byte with the same lossless set, its Decompressed must be what the
 // decoder returns, and 3D cases without bitmap or reference (which the
 // streaming path rejects) must also equal CompressStream over the field's
-// layers.
+// layers. Shapes with fewer than 16 layers are one region, so at workers 3
+// they run the tile waves; the tie-heavy fields put exact-zero
+// determinants and lossless runs on tile borders.
 func FuzzCompressEngine(f *testing.F) {
 	f.Add([]byte{0x02, 30, 0, 33, 6, 11, 97, 180, 42})                   // 2D absolute, 5 row slabs
 	f.Add([]byte{0x03, 7, 5, 39, 4, 200, 13, 77})                        // 3D absolute, cut planes
@@ -336,6 +498,13 @@ func FuzzCompressEngine(f *testing.F) {
 	f.Add([]byte{0x43, 3, 3, 12, 1, 77})                                 // constant field
 	f.Add([]byte{0x03, 5, 5, 20, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 32, 33})  // NaN and ±Inf
 	f.Add([]byte{0x3f, 6, 7, 26, 8, 1, 99, 2, 98, 0, 97, 13, 14, 15, 5}) // everything at once
+	// Tie-heavy one-slab fields, whose regions run tile waves at workers 3.
+	f.Add([]byte{0x83, 10, 9, 6, 4, 0, 17, 200, 33, 91, 5})   // 3D absolute, 1/8 lattice
+	f.Add([]byte{0x81, 9, 11, 7, 2, 0, 250, 3, 77, 140})      // 3D relative, 1/8 lattice
+	f.Add([]byte{0x83, 9, 10, 7, 5, 1, 8, 8, 9, 8, 40})       // 3D constant layers, one vertex perturbed
+	f.Add([]byte{0x82, 11, 0, 9, 3, 1, 12, 3, 3, 19})         // 2D constant rows, one vertex perturbed
+	f.Add([]byte{0x83, 11, 10, 5, 6, 2, 9, 200, 31, 64, 128}) // 3D repeated rows
+	f.Add([]byte{0x92, 11, 0, 10, 2, 2, 5, 6, 7, 8, 9})       // 2D repeated rows with a bitmap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fld, opts, ok := engineCase(data)
 		if !ok {

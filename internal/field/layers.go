@@ -65,26 +65,32 @@ func (fn FrameFetcherFunc) Frame(t int) (*Field, error) { return fn(t) }
 // copying: each returned slice aliases the field's component storage. k
 // must be in [0, nz) in 3D and [0, ny) in 2D.
 func (f *Field) LayerView(k int) [][]float32 {
+	return f.layerViewInto(make([][]float32, len(f.Components())), k)
+}
+
+// layerViewInto is LayerView writing the views into dst, one per
+// component.
+func (f *Field) layerViewInto(dst [][]float32, k int) [][]float32 {
 	nx, ny, _ := f.Grid.Dims()
 	plane := nx * ny
 	if f.Dim() == 2 {
 		plane = nx
 	}
-	comps := f.Components()
-	out := make([][]float32, len(comps))
-	for c, vals := range comps {
-		out[c] = vals[k*plane : (k+1)*plane]
+	for c, vals := range f.Components() {
+		dst[c] = vals[k*plane : (k+1)*plane]
 	}
-	return out
+	return dst
 }
 
 // memLayers adapts an in-memory field to the LayerFetcher contract with
-// zero copying.
+// zero copying. Its view header is reused across calls, as the contract
+// allows, so a sweep allocates nothing per layer.
 type memLayers struct {
-	f *Field
+	f     *Field
+	views [][]float32
 }
 
-func (m memLayers) Layer(k int) ([][]float32, error) {
+func (m *memLayers) Layer(k int) ([][]float32, error) {
 	_, ny, nz := m.f.Grid.Dims()
 	if m.f.Dim() == 2 {
 		nz = ny
@@ -92,14 +98,17 @@ func (m memLayers) Layer(k int) ([][]float32, error) {
 	if k < 0 || k >= nz {
 		return nil, streamerr.Header("layer fetch", "layer %d outside [0, %d)", k, nz)
 	}
-	return m.f.LayerView(k), nil
+	return m.f.layerViewInto(m.views, k), nil
 }
 
 // Layers adapts an in-memory field to a zero-copy LayerFetcher over its
 // LayerViews; every Layer call returns views into the field's own
-// storage. cpsz.Compress sweeps a resident field through it, and callers
-// that have the field resident can hand it to the streaming writer.
-func Layers(f *Field) LayerFetcher { return memLayers{f: f} }
+// storage, valid until the next call. cpsz.Compress sweeps a resident
+// field through it, and callers that have the field resident can hand it
+// to the streaming writer.
+func Layers(f *Field) LayerFetcher {
+	return &memLayers{f: f, views: make([][]float32, len(f.Components()))}
+}
 
 // FileLayers is a LayerFetcher over a TSPF file (the WriteTo layout: 4-byte
 // magic, 4 little-endian uint32 header words, then each component as
