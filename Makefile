@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test bench bench-smoke bench-diff bench-full race fuzz-smoke fault-sweep profile-smoke stream-suite cover experiments figures clean
+.PHONY: all build vet lint fma-check test bench bench-smoke bench-diff bench-full race fuzz-smoke fault-sweep profile-smoke stream-suite cover experiments figures clean
 
 all: build vet lint test
 
@@ -25,6 +25,24 @@ vet:
 lint:
 	$(GO) run ./cmd/tsplint ./...
 
+# Fusion gate: Go may fuse x*y + z into one multiply-add with a single
+# rounding on arm64, ppc64le, s390x and riscv64 (never on amd64), which
+# would move traces, and so the involved-vertex sets and archives, off the
+# amd64 ones. Writing each product as float64(x*y), the Go spec's fusion
+# barrier, prevents it. Cross-compile the tracer's packages for those
+# architectures and fail on any fused multiply-add or -subtract in their
+# assembly; a package that printed no assembly fails too.
+FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+fma-check:
+	@for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+		echo "$$asm" | grep -q 'STEXT' || { echo "fma-check: no assembly listed for $$arch" >&2; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[A-Z]*\s'); \
+		if [ -n "$$fused" ]; then echo "fma-check: fused multiply-adds on $$arch:" >&2; echo "$$fused" >&2; exit 1; fi; \
+	done
+	@echo "fma-check: no fused multiply-adds in $(FMA_PKGS) on $(FMA_ARCHS)"
+
 test:
 	$(GO) test ./...
 
@@ -34,7 +52,8 @@ race:
 # 10-second native-fuzzing smoke per decoder entry point, plus the
 # differential targets holding frechet.WithinTol to the full reachability DP,
 # ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation,
-# the tracer's narrowed absorption probe to a scan of every bucket, and the
+# the tracer's narrowed absorption probe to a scan of every bucket, the
+# cell-caching field.Sampler to point location from scratch, and the
 # cpSZ compression engine to the whole-field reference encoder.
 # Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
 # as artifacts.
@@ -42,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWithinTol$$' -fuzztime=10s -run='^$$' ./internal/frechet
 	$(GO) test -fuzz='^FuzzVertexBound$$' -fuzztime=10s -run='^$$' ./internal/ebound
 	$(GO) test -fuzz='^FuzzNear$$' -fuzztime=10s -run='^$$' ./internal/integrate
+	$(GO) test -fuzz='^FuzzSample$$' -fuzztime=10s -run='^$$' ./internal/field
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec
 	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=10s -run='^$$' ./internal/core
@@ -139,6 +159,8 @@ bench:
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/frechet | tee -a bench_raw.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkVertexBound$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/ebound | tee -a bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkTraceSeparatrices|BenchmarkTraceWindow3D)$$' \
+		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./internal/integrate | tee -a bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkFig8Scalability|BenchmarkCompress(Stream|InMemory|StreamEb))$$' \
 		-benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) . | tee -a bench_raw.txt
 	$(GO) run ./cmd/benchjson -in bench_raw.txt -out $(BENCH_JSON)

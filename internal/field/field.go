@@ -1,6 +1,6 @@
 // Package field holds the vector field container used by TspSZ: a structure
 // of arrays of float32 component samples over a regular simplicial grid,
-// with piecewise-linear sampling and raw binary I/O.
+// with piecewise-linear sampling (Sampler) and raw binary I/O.
 package field
 
 import (
@@ -78,23 +78,11 @@ func (f *Field) VecAt(idx int) [3]float64 {
 // the domain or has a NaN coordinate. The vertices of the cell
 // (grid.CellVertices) are the ones the interpolation read: the
 // involved-vertex tracking TspSZ-I relies on (Algorithm 2, line 16) records
-// them per cell.
+// them per cell. A walk of nearby points samples faster through one
+// Sampler.
 func (f *Field) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
-	cell, bc, ok := f.Grid.Locate(p)
-	if !ok {
-		return vec, 0, false
-	}
-	var vbuf [4]int
-	vs := f.Grid.CellVertices(cell, vbuf[:0])
-	for i, v := range vs {
-		w := bc[i]
-		vec[0] += w * float64(f.U[v])
-		vec[1] += w * float64(f.V[v])
-		if f.W != nil {
-			vec[2] += w * float64(f.W[v])
-		}
-	}
-	return vec, cell, true
+	s := NewSampler(f)
+	return s.Sample(p)
 }
 
 // Range returns the global min and max over all components, as used by the

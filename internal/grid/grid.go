@@ -1,8 +1,11 @@
 // Package grid provides the simplicial mesh substrate used throughout TspSZ:
 // regular rectilinear grids of unit spacing whose cells are split into
 // simplices (triangles in 2D, Freudenthal/Kuhn tetrahedra in 3D). It offers
-// vertex/cell indexing, adjacency queries, and point location with
-// barycentric coordinates for piecewise-linear interpolation.
+// vertex/cell indexing, adjacency queries, and what point location needs
+// from the mesh: the cell numbering (CellIndex), the corners of each cell
+// of a square or cube (TriangleCorners, KuhnCorners) and the Kuhn
+// tetrahedron holding a point of a cube (KuhnTet). field.Sampler locates
+// points and interpolates.
 package grid
 
 import "fmt"
@@ -91,6 +94,62 @@ var kuhnPerms = [6][3]int{
 	{0, 1, 2}, {0, 2, 1},
 	{1, 0, 2}, {1, 2, 0},
 	{2, 0, 1}, {2, 1, 0},
+}
+
+// A corner slot names a corner of a unit square or cube: slot
+// dx + 2·dy + 4·dz is the corner at offset (dx, dy, dz) from the lowest
+// one. TriangleCorners[t] lists the slots of triangle t of a square and
+// KuhnCorners[t] those of Kuhn tetrahedron t of a cube, in CellVertices
+// order. The tables are shared; callers must not modify them.
+var (
+	TriangleCorners = [CellsPerSquare][3]int{{0, 1, 3}, {0, 3, 2}}
+	KuhnCorners     = kuhnCorners()
+)
+
+func kuhnCorners() (c [CellsPerCube][4]int) {
+	for t, p := range kuhnPerms {
+		for r := 1; r < 4; r++ {
+			c[t][r] = c[t][r-1] | 1<<p[r-1]
+		}
+	}
+	return c
+}
+
+// KuhnTet returns the Kuhn tetrahedron t of a unit cube that holds the
+// point at local coordinates (lx, ly, lz) ∈ [0,1]³, none of them NaN, and
+// those coordinates in t's axis order kuhnPerms[t], which sorts them
+// non-increasingly: s0 ≥ s1 ≥ s2. The point's barycentric coordinates in
+// CellVertices order are (1−s0, s0−s1, s1−s2, s2). Ties keep the lower
+// axis first, as a stable sort does, so a point on a face two tetrahedra
+// share has one location.
+func KuhnTet(lx, ly, lz float64) (t int, s0, s1, s2 float64) {
+	if lx >= ly {
+		if ly >= lz {
+			return 0, lx, ly, lz // x ≥ y ≥ z
+		}
+		if lx >= lz {
+			return 1, lx, lz, ly // x ≥ z > y
+		}
+		return 4, lz, lx, ly // z > x ≥ y
+	}
+	if lx >= lz {
+		return 2, ly, lx, lz // y > x ≥ z
+	}
+	if ly >= lz {
+		return 3, ly, lz, lx // y ≥ z > x
+	}
+	return 5, lz, ly, lx // z > y > x
+}
+
+// CellIndex returns the id of simplex t of the unit square or cube whose
+// lowest corner is vertex (i, j, k), the numbering CellVertices decodes.
+// In 2D pass k == 0.
+func (g *Grid) CellIndex(i, j, k, t int) int {
+	per := CellsPerCube
+	if g.dim == 2 {
+		per = CellsPerSquare
+	}
+	return (i+(g.dims[0]-1)*(j+(g.dims[1]-1)*k))*per + t
 }
 
 // CellVertices appends the vertex indices of cell c to dst and returns the
@@ -202,101 +261,8 @@ func (g *Grid) StarCellAt(s *StarCell, i, j, k int) (c int, ok bool) {
 	if ci < 0 || cj < 0 || ci >= nx-1 || cj >= ny-1 {
 		return 0, false
 	}
-	if g.dim == 2 {
-		return (ci+cj*(nx-1))*CellsPerSquare + s.t, true
-	}
-	if ck < 0 || ck >= nz-1 {
+	if g.dim == 3 && (ck < 0 || ck >= nz-1) {
 		return 0, false
 	}
-	return (ci+(nx-1)*(cj+(ny-1)*ck))*CellsPerCube + s.t, true
-}
-
-// Locate finds the simplex containing point p and its barycentric
-// coordinates. It returns ok == false when p lies outside the grid domain
-// [0,nx-1]×[0,ny-1](×[0,nz-1]) or has a NaN coordinate (2D grids ignore
-// p[2]). The barycentric coordinates bc correspond one-to-one with
-// CellVertices order and satisfy bc[i] >= 0, Σ bc[i] == 1 (up to
-// rounding).
-func (g *Grid) Locate(p [3]float64) (cell int, bc [4]float64, ok bool) {
-	nx, ny, nz := g.dims[0], g.dims[1], g.dims[2]
-	x, y, z := p[0], p[1], p[2]
-	// Written as "inside" tests so that a NaN, which fails every
-	// comparison, is outside.
-	if !(x >= 0 && y >= 0 && x <= float64(nx-1) && y <= float64(ny-1)) {
-		return 0, bc, false
-	}
-	if g.dim == 3 && !(z >= 0 && z <= float64(nz-1)) {
-		return 0, bc, false
-	}
-	ci := clampCell(x, nx-1)
-	cj := clampCell(y, ny-1)
-	lx := x - float64(ci)
-	ly := y - float64(cj)
-	if g.dim == 2 {
-		sq := ci + cj*(nx-1)
-		if lx >= ly { // lower triangle (v00, v10, v11)
-			bc[0] = 1 - lx
-			bc[1] = lx - ly
-			bc[2] = ly
-			return sq * CellsPerSquare, bc, true
-		}
-		// upper triangle (v00, v11, v01)
-		bc[0] = 1 - ly
-		bc[1] = lx
-		bc[2] = ly - lx
-		return sq*CellsPerSquare + 1, bc, true
-	}
-	ck := clampCell(z, nz-1)
-	lz := z - float64(ck)
-	l := [3]float64{lx, ly, lz}
-	// Pick the Kuhn tetrahedron whose axis permutation sorts the local
-	// coordinates in non-increasing order.
-	perm := sortedAxes(l)
-	t := permIndex(perm)
-	cube := ci + (nx-1)*(cj+(ny-1)*ck)
-	s0, s1, s2 := l[perm[0]], l[perm[1]], l[perm[2]]
-	bc[0] = 1 - s0
-	bc[1] = s0 - s1
-	bc[2] = s1 - s2
-	bc[3] = s2
-	return cube*CellsPerCube + t, bc, true
-}
-
-// clampCell converts a continuous coordinate to a cell index in [0, n-1],
-// mapping the right boundary into the last cell.
-func clampCell(x float64, ncells int) int {
-	c := int(x)
-	if c >= ncells {
-		c = ncells - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	return c
-}
-
-// sortedAxes returns the axis permutation ordering l non-increasingly,
-// breaking ties by axis index so location is deterministic.
-func sortedAxes(l [3]float64) [3]int {
-	p := [3]int{0, 1, 2}
-	if l[p[0]] < l[p[1]] {
-		p[0], p[1] = p[1], p[0]
-	}
-	if l[p[1]] < l[p[2]] {
-		p[1], p[2] = p[2], p[1]
-	}
-	if l[p[0]] < l[p[1]] {
-		p[0], p[1] = p[1], p[0]
-	}
-	return p
-}
-
-// permIndex maps an axis permutation to its kuhnPerms slot.
-func permIndex(p [3]int) int {
-	for i, kp := range kuhnPerms {
-		if kp == p {
-			return i
-		}
-	}
-	panic("grid: invalid permutation")
+	return g.CellIndex(ci, cj, ck, s.t), true
 }

@@ -1,10 +1,9 @@
 package grid
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestNew2DPanicsOnTinyDims(t *testing.T) {
@@ -189,133 +188,83 @@ func TestKuhnTetsShareDiagonal(t *testing.T) {
 	}
 }
 
-func barycentricReconstructs(g *Grid, p [3]float64) bool {
-	cell, bc, ok := g.Locate(p)
-	if !ok {
-		return false
-	}
-	var pos [4][3]float64
-	ps := g.CellVerticesPositions(cell, pos[:0])
-	var rec [3]float64
-	sum := 0.0
-	for i, vp := range ps {
-		if bc[i] < -1e-12 {
-			return false
+// The cell numbering and corner tables point location uses must name
+// exactly the vertices CellVertices gives, in its order: checked for every
+// cell of small 2D and 3D grids.
+func TestCornerSlotsMatchCellVertices(t *testing.T) {
+	for _, g := range []*Grid{New2D(2, 2), New2D(5, 4), New3D(2, 2, 2), New3D(3, 4, 5), New3D(4, 2, 3)} {
+		nx, ny, nz := g.Dims()
+		per, nk := CellsPerCube, nz-1
+		if g.Dim() == 2 {
+			per, nk = CellsPerSquare, 1
 		}
-		sum += bc[i]
-		for d := 0; d < 3; d++ {
-			rec[d] += bc[i] * vp[d]
+		seen := 0
+		for k := 0; k < nk; k++ {
+			for j := 0; j < ny-1; j++ {
+				for i := 0; i < nx-1; i++ {
+					for tet := 0; tet < per; tet++ {
+						c := g.CellIndex(i, j, k, tet)
+						var slots []int
+						if g.Dim() == 2 {
+							slots = TriangleCorners[tet][:]
+						} else {
+							slots = KuhnCorners[tet][:]
+						}
+						var got []int
+						for _, s := range slots {
+							got = append(got, g.VertexIndex(i+s&1, j+s>>1&1, k+s>>2))
+						}
+						if want := g.CellVertices(c, nil); !slices.Equal(got, want) {
+							t.Fatalf("dim %d cube (%d,%d,%d) simplex %d: corner slots give %v, CellVertices(%d) %v",
+								g.Dim(), i, j, k, tet, got, c, want)
+						}
+						seen++
+					}
+				}
+			}
 		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return false
-	}
-	for d := 0; d < g.Dim(); d++ {
-		if math.Abs(rec[d]-p[d]) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-func TestLocateReconstructs2D(t *testing.T) {
-	g := New2D(6, 4)
-	f := func(a, b uint16) bool {
-		x := float64(a) / 65535 * 5
-		y := float64(b) / 65535 * 3
-		return barycentricReconstructs(g, [3]float64{x, y, 0})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLocateReconstructs3D(t *testing.T) {
-	g := New3D(4, 5, 3)
-	f := func(a, b, c uint16) bool {
-		x := float64(a) / 65535 * 3
-		y := float64(b) / 65535 * 4
-		z := float64(c) / 65535 * 2
-		return barycentricReconstructs(g, [3]float64{x, y, z})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLocateOutside(t *testing.T) {
-	g := New2D(4, 4)
-	for _, p := range [][3]float64{{-0.1, 1, 0}, {1, -0.1, 0}, {3.01, 1, 0}, {1, 3.5, 0}} {
-		if _, _, ok := g.Locate(p); ok {
-			t.Errorf("Locate(%v) should be outside", p)
-		}
-	}
-	g3 := New3D(4, 4, 4)
-	for _, p := range [][3]float64{{1, 1, -0.2}, {1, 1, 3.2}} {
-		if _, _, ok := g3.Locate(p); ok {
-			t.Errorf("3D Locate(%v) should be outside", p)
+		if seen != g.NumCells() {
+			t.Fatalf("dim %d: CellIndex covered %d cells, want %d", g.Dim(), seen, g.NumCells())
 		}
 	}
 }
 
-// A NaN coordinate fails every comparison, so a bounds test written as
-// "outside" would let it through with NaN barycentric weights.
-func TestLocateNaNOutside(t *testing.T) {
-	nan := math.NaN()
-	g := New2D(4, 4)
-	for _, p := range [][3]float64{{nan, 1, 0}, {1, nan, 0}, {nan, nan, 0}} {
-		if _, _, ok := g.Locate(p); ok {
-			t.Errorf("Locate(%v) should be outside", p)
+// KuhnTet picks the tetrahedron whose kuhnPerms entry sorts the local
+// coordinates non-increasingly, keeping the lower axis first on a tie (a
+// stable sort), and returns them in that order: checked on every
+// coordinate triple over a lattice that makes every kind of tie, and on
+// random triples.
+func TestKuhnTetSortsStably(t *testing.T) {
+	check := func(l [3]float64) {
+		t.Helper()
+		tet, s0, s1, s2 := KuhnTet(l[0], l[1], l[2])
+		want := []int{0, 1, 2}
+		slices.SortStableFunc(want, func(a, b int) int {
+			switch {
+			case l[a] > l[b]:
+				return -1
+			case l[a] < l[b]:
+				return 1
+			}
+			return 0
+		})
+		if p := kuhnPerms[tet]; !slices.Equal(p[:], want) {
+			t.Fatalf("KuhnTet(%v) = tetrahedron %d with axes %v, want axes %v", l, tet, p, want)
+		}
+		if s := [3]float64{s0, s1, s2}; s != [3]float64{l[want[0]], l[want[1]], l[want[2]]} {
+			t.Fatalf("KuhnTet(%v) sorted coordinates %v, want them in axis order %v", l, s, want)
 		}
 	}
-	g3 := New3D(4, 4, 4)
-	for _, p := range [][3]float64{{nan, 1, 1}, {1, nan, 1}, {1, 1, nan}} {
-		if _, _, ok := g3.Locate(p); ok {
-			t.Errorf("3D Locate(%v) should be outside", p)
+	lattice := []float64{0, 0.25, 0.5, 1}
+	for _, x := range lattice {
+		for _, y := range lattice {
+			for _, z := range lattice {
+				check([3]float64{x, y, z})
+			}
 		}
 	}
-}
-
-func TestLocateBoundaryCorners(t *testing.T) {
-	g := New2D(4, 4)
-	for _, p := range [][3]float64{{0, 0, 0}, {3, 3, 0}, {3, 0, 0}, {0, 3, 0}} {
-		if !barycentricReconstructs(g, p) {
-			t.Errorf("corner %v not reconstructed", p)
-		}
-	}
-	g3 := New3D(3, 3, 3)
-	for _, p := range [][3]float64{{0, 0, 0}, {2, 2, 2}, {2, 0, 2}} {
-		if !barycentricReconstructs(g3, p) {
-			t.Errorf("3D corner %v not reconstructed", p)
-		}
-	}
-}
-
-// The located cell must actually contain the queried point's vertex span:
-// every barycentric coordinate non-negative already checks containment; this
-// test additionally confirms the cell id is stable for interior points.
-func TestLocateDeterministic(t *testing.T) {
-	g := New3D(5, 5, 5)
-	rng := rand.New(rand.NewSource(7))
-	for n := 0; n < 200; n++ {
-		p := [3]float64{rng.Float64() * 4, rng.Float64() * 4, rng.Float64() * 4}
-		c1, bc1, ok1 := g.Locate(p)
-		c2, bc2, ok2 := g.Locate(p)
-		if c1 != c2 || bc1 != bc2 || ok1 != ok2 {
-			t.Fatalf("Locate not deterministic at %v", p)
-		}
-	}
-}
-
-func BenchmarkLocate3D(b *testing.B) {
-	g := New3D(64, 64, 64)
-	rng := rand.New(rand.NewSource(1))
-	pts := make([][3]float64, 1024)
-	for i := range pts {
-		pts[i] = [3]float64{rng.Float64() * 63, rng.Float64() * 63, rng.Float64() * 63}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Locate(pts[i%len(pts)])
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 2000; n++ {
+		check([3]float64{rng.Float64(), rng.Float64(), rng.Float64()})
 	}
 }

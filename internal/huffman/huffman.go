@@ -5,7 +5,6 @@
 package huffman
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -19,27 +18,63 @@ type node struct {
 	order       int // tie-break to keep construction deterministic
 }
 
+// nodeHeap is a binary min-heap of node indices keyed by (freq, order).
+// Orders are distinct, so the key is a total order and the pop sequence is
+// the same for any heap that pops the minimum.
 type nodeHeap struct {
 	nodes []node
 	idx   []int
 }
 
-func (h *nodeHeap) Len() int { return len(h.idx) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.idx[i]], h.nodes[h.idx[j]]
+func (h *nodeHeap) less(i, j int) bool {
+	a, b := &h.nodes[h.idx[i]], &h.nodes[h.idx[j]]
 	if a.freq != b.freq {
 		return a.freq < b.freq
 	}
 	return a.order < b.order
 }
-func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
+
+// down moves the entry at i towards the leaves until neither child is
+// smaller.
+func (h *nodeHeap) down(i int) {
+	n := len(h.idx)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.idx[i], h.idx[c] = h.idx[c], h.idx[i]
+		i = c
+	}
+}
+
+// pop removes and returns the minimum entry.
+func (h *nodeHeap) pop() int {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.down(0)
+	return top
+}
+
+// push adds node index x.
+func (h *nodeHeap) push(x int) {
+	h.idx = append(h.idx, x)
+	for i := len(h.idx) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.idx[i], h.idx[parent] = h.idx[parent], h.idx[i]
+		i = parent
+	}
 }
 
 // codeLengths computes per-symbol Huffman code lengths for the given
@@ -50,27 +85,24 @@ func codeLengths(sym []uint32, freq []uint64) []uint8 {
 	if n == 1 {
 		return []uint8{1}
 	}
-	nodes := make([]node, 0, 2*n)
-	h := &nodeHeap{nodes: nil}
+	h := &nodeHeap{nodes: make([]node, n, 2*n), idx: make([]int, n)}
 	for i := 0; i < n; i++ {
-		nodes = append(nodes, node{freq: freq[i], symbol: sym[i], left: -1, right: -1, order: i})
-	}
-	h.nodes = nodes
-	h.idx = make([]int, n)
-	for i := range h.idx {
+		h.nodes[i] = node{freq: freq[i], symbol: sym[i], left: -1, right: -1, order: i}
 		h.idx[i] = i
 	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h.idx) > 1 {
+		a := h.pop()
+		b := h.pop()
 		h.nodes = append(h.nodes, node{
 			freq:  h.nodes[a].freq + h.nodes[b].freq,
 			left:  a,
 			right: b,
 			order: len(h.nodes),
 		})
-		heap.Push(h, len(h.nodes)-1)
+		h.push(len(h.nodes) - 1)
 	}
 	root := h.idx[0]
 	lengths := make([]uint8, n)
@@ -79,7 +111,10 @@ func codeLengths(sym []uint32, freq []uint64) []uint8 {
 		n     int
 		depth uint8
 	}
-	stack := []frame{{root, 0}}
+	// The stack holds at most one frame per level of the tree, so a tree
+	// of up to 63 levels never leaves this buffer.
+	var buf [64]frame
+	stack := append(buf[:0], frame{root, 0})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -6,6 +6,10 @@
 // losslessly. A trajectory records a cell's vertices each time one of its
 // RK4 stages samples a cell other than the one it recorded last, so the
 // record is a list whose set is exactly the vertices of every cell sampled.
+// Each streamline samples through its own field.Sampler. Every product in
+// this package is written float64(a*b), the Go spec's barrier against
+// fusing it into a multiply-add, so traces round the same on every
+// platform (make fma-check holds it).
 package integrate
 
 import (
@@ -193,7 +197,7 @@ func (l *cpLocator) near(p [3]float64, eps float64) int {
 					ddx := cp.Pos[0] - p[0]
 					ddy := cp.Pos[1] - p[1]
 					ddz := cp.Pos[2] - p[2]
-					if ddx*ddx+ddy*ddy+ddz*ddz <= e2 {
+					if float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz) <= e2 {
 						return int(ei)
 					}
 				}
@@ -251,12 +255,12 @@ func (r *recorder) record(cell int) {
 	*r.out = r.g.CellVertices(cell, *r.out)
 }
 
-// rk4Step advances p by one RK4 step of size h·dir. ok is false when any of
-// the four stage samples falls outside the domain. rec records the cell of
-// each stage sample.
-func rk4Step(f *field.Field, p [3]float64, h, dir float64, rec *recorder) (np [3]float64, ok bool) {
+// rk4Step advances p by one RK4 step of size h·dir, sampling through smp.
+// ok is false when any of the four stage samples falls outside the domain.
+// rec records the cell of each stage sample.
+func rk4Step(smp *field.Sampler, p [3]float64, h, dir float64, rec *recorder) (np [3]float64, ok bool) {
 	sample := func(q [3]float64) ([3]float64, bool) {
-		v, cell, sOK := f.Sample(q)
+		v, cell, sOK := smp.Sample(q)
 		if !sOK {
 			return v, false
 		}
@@ -283,14 +287,14 @@ func rk4Step(f *field.Field, p [3]float64, h, dir float64, rec *recorder) (np [3
 		return p, false
 	}
 	for d := 0; d < 3; d++ {
-		np[d] = p[d] + h/6*(k1[d]+2*k2[d]+2*k3[d]+k4[d])
+		np[d] = p[d] + float64(h/6*(k1[d]+float64(2*k2[d])+float64(2*k3[d])+k4[d]))
 	}
 	return np, true
 }
 
 func add(a, b [3]float64) [3]float64 { return [3]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2]} }
 func scale(a [3]float64, s float64) [3]float64 {
-	return [3]float64{a[0] * s, a[1] * s, a[2] * s}
+	return [3]float64{float64(a[0] * s), float64(a[1] * s), float64(a[2] * s)}
 }
 
 // Streamline traces a streamline from seed in direction dir (+1 forward,
@@ -306,6 +310,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
 	tr.Points = append(tr.Points, seed)
 	rec := recorder{g: f.Grid, out: verts, last: -1}
+	smp := field.NewSampler(f)
 	p := seed
 	const vEps = 1e-12
 	var orbits *orbitDetector
@@ -322,7 +327,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		orbits.visit(seed, 0)
 	}
 	for step := 0; step < par.MaxSteps; step++ {
-		np, ok := rk4Step(f, p, par.H, float64(dir), &rec)
+		np, ok := rk4Step(&smp, p, par.H, float64(dir), &rec)
 		if !ok {
 			tr.Term = LeftDomain
 			return tr
@@ -336,7 +341,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		dx := np[0] - p[0]
 		dy := np[1] - p[1]
 		dz := np[2] - p[2]
-		if dx*dx+dy*dy+dz*dz < vEps*vEps {
+		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < vEps*vEps {
 			tr.Term = ZeroVelocity
 			return tr
 		}

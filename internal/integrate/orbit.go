@@ -61,7 +61,7 @@ func (d *orbitDetector) visit(p [3]float64, step int) bool {
 					ddx := p[0] - s.pos[0]
 					ddy := p[1] - s.pos[1]
 					ddz := p[2] - s.pos[2]
-					if ddx*ddx+ddy*ddy+ddz*ddz <= d.eps2 {
+					if float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz) <= d.eps2 {
 						closed = true
 						break
 					}

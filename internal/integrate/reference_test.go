@@ -9,6 +9,7 @@ import (
 	"tspsz/internal/critical"
 	"tspsz/internal/datagen"
 	"tspsz/internal/field"
+	"tspsz/internal/field/fieldtest"
 )
 
 // refNear is the reference absorption probe: a scan of every bucket in
@@ -30,22 +31,23 @@ func refNear(l *cpLocator, p [3]float64, eps float64) int {
 		ddx := cp.Pos[0] - p[0]
 		ddy := cp.Pos[1] - p[1]
 		ddz := cp.Pos[2] - p[2]
-		if ddx*ddx+ddy*ddy+ddz*ddz <= e2 {
+		if float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz) <= e2 {
 			return int(ei)
 		}
 	}
 	return -1
 }
 
-// refTrace is the reference tracer: every RK4 stage appends the vertex ids
-// of the cell it samples, and absorption scans every bucket. The tracer is
+// refTrace is the reference tracer: every RK4 stage locates its point from
+// scratch and appends the vertex ids of the cell it samples
+// (fieldtest.RefSample), and absorption scans every bucket. The tracer is
 // held to it trajectory for trajectory and, as sets, record for record.
 func refTrace(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int) Trajectory {
 	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
 	tr.Points = append(tr.Points, seed)
 	s := float64(dir)
 	sample := func(q [3]float64) ([3]float64, bool) {
-		v, cell, ok := f.Sample(q)
+		v, cell, ok := fieldtest.RefSample(f, q)
 		if !ok {
 			return v, false
 		}
@@ -71,7 +73,7 @@ func refTrace(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocat
 		}
 		var np [3]float64
 		for d := 0; d < 3; d++ {
-			np[d] = p[d] + par.H/6*(k1[d]+2*k2[d]+2*k3[d]+k4[d])
+			np[d] = p[d] + float64(par.H/6*(k1[d]+float64(2*k2[d])+float64(2*k3[d])+k4[d]))
 		}
 		tr.Points = append(tr.Points, np)
 		if cp := refNear(loc, np, par.EpsP); cp >= 0 {
@@ -80,7 +82,7 @@ func refTrace(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocat
 			return tr
 		}
 		dx, dy, dz := np[0]-p[0], np[1]-p[1], np[2]-p[2]
-		if dx*dx+dy*dy+dz*dz < 1e-24 {
+		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < 1e-24 {
 			tr.Term = ZeroVelocity
 			return tr
 		}

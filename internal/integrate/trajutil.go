@@ -19,7 +19,7 @@ func ArcLength(pts [][3]float64) float64 {
 
 func dist3(a, b [3]float64) float64 {
 	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // Resample returns n points spaced uniformly in arc length along pts
@@ -69,9 +69,9 @@ func Resample(pts [][3]float64, n int) [][3]float64 {
 		}
 		a, b := pts[seg], pts[seg+1]
 		out = append(out, [3]float64{
-			a[0] + t*(b[0]-a[0]),
-			a[1] + t*(b[1]-a[1]),
-			a[2] + t*(b[2]-a[2]),
+			a[0] + float64(t*(b[0]-a[0])),
+			a[1] + float64(t*(b[1]-a[1])),
+			a[2] + float64(t*(b[2]-a[2])),
 		})
 	}
 	return out
@@ -119,10 +119,10 @@ func Simplify(pts [][3]float64, tol float64) [][3]float64 {
 func pointSegmentDist(p, a, b [3]float64) float64 {
 	ab := [3]float64{b[0] - a[0], b[1] - a[1], b[2] - a[2]}
 	ap := [3]float64{p[0] - a[0], p[1] - a[1], p[2] - a[2]}
-	denom := ab[0]*ab[0] + ab[1]*ab[1] + ab[2]*ab[2]
+	denom := float64(ab[0]*ab[0]) + float64(ab[1]*ab[1]) + float64(ab[2]*ab[2])
 	t := 0.0
 	if denom > 0 {
-		t = (ap[0]*ab[0] + ap[1]*ab[1] + ap[2]*ab[2]) / denom
+		t = (float64(ap[0]*ab[0]) + float64(ap[1]*ab[1]) + float64(ap[2]*ab[2])) / denom
 		if t < 0 {
 			t = 0
 		}
@@ -130,6 +130,6 @@ func pointSegmentDist(p, a, b [3]float64) float64 {
 			t = 1
 		}
 	}
-	q := [3]float64{a[0] + t*ab[0], a[1] + t*ab[1], a[2] + t*ab[2]}
+	q := [3]float64{a[0] + float64(t*ab[0]), a[1] + float64(t*ab[1]), a[2] + float64(t*ab[2])}
 	return dist3(p, q)
 }
