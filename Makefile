@@ -29,10 +29,12 @@ lint:
 # rounding on arm64, ppc64le, s390x and riscv64 (never on amd64), which
 # would move traces, and so the involved-vertex sets and archives, off the
 # amd64 ones. Writing each product as float64(x*y), the Go spec's fusion
-# barrier, prevents it. Cross-compile the tracer's packages for those
-# architectures and fail on any fused multiply-add or -subtract in their
-# assembly; a package that printed no assembly fails too.
-FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate
+# barrier, prevents it. Cross-compile the tracer's packages, the quantizer
+# (Quantize and Reconstruct, which decode runs) and core (dist picks
+# fixTraj's divergence point) for those architectures and fail on any
+# fused multiply-add or -subtract in their assembly, or when none of them
+# printed assembly.
+FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate ./internal/quantizer ./internal/core
 FMA_ARCHS = arm64 ppc64le s390x riscv64
 fma-check:
 	@for arch in $(FMA_ARCHS); do \

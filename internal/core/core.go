@@ -238,14 +238,15 @@ func compress1(ctx context.Context, f *field.Field, o Options, ref *field.Field)
 	markCPCells(f, cps, marks)
 
 	// Trace all separatrices on the original data, collecting every vertex
-	// any RK4 stage interpolates from (lines 12-22).
+	// any RK4 stage interpolates from (lines 12-22). Only those vertices
+	// are read, so the trace keeps no trajectory points.
 	saddles := saddleIndices(cps)
 	perSaddle := make([][]int, len(saddles))
 	loc := integrate.NewCPLocator(cps) // read-only after construction
 	if err := c.Do(obs.StageTrace, workers, int64(len(saddles)), func() error {
 		return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 			var verts []int
-			integrate.TraceSeparatricesOf(f, cps, loc, saddles[i], o.Params, &verts)
+			integrate.RecordSeparatricesOf(f, cps, loc, saddles[i], o.Params, &verts)
 			perSaddle[i] = verts
 			return nil
 		})
@@ -492,9 +493,9 @@ func fixTraj(orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLoca
 func forceExact(ctx context.Context, orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLocator, saddles []int, o Options, log *patchLog) error {
 	return parallel.For(ctx, len(saddles), o.Workers, 1, func(i int) error {
 		var verts []int
-		integrate.TraceSeparatricesOf(orig, cps, loc, saddles[i], o.Params, &verts)
+		integrate.RecordSeparatricesOf(orig, cps, loc, saddles[i], o.Params, &verts)
 		log.traceLocked(func() {
-			integrate.TraceSeparatricesOf(dec, cps, loc, saddles[i], o.Params, &verts)
+			integrate.RecordSeparatricesOf(dec, cps, loc, saddles[i], o.Params, &verts)
 		})
 		log.apply(orig, dec, verts)
 		return nil
@@ -607,7 +608,7 @@ func touchesAny(set []int32, round *bitmap.Bitmap) bool {
 
 func dist(a, b [3]float64) float64 {
 	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 func extractCPs(ctx context.Context, f *field.Field, o *Options) ([]critical.Point, error) {

@@ -82,7 +82,8 @@ func (f *Field) VecAt(idx int) [3]float64 {
 // Sampler.
 func (f *Field) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
 	s := NewSampler(f)
-	return s.Sample(p)
+	vec[0], vec[1], vec[2], cell, ok = s.Sample(p[0], p[1], p[2])
+	return vec, cell, ok
 }
 
 // Range returns the global min and max over all components, as used by the

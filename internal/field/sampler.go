@@ -16,9 +16,10 @@ import "tspsz/internal/grid"
 // Each product is rounded before it is added (the float64 conversion is
 // Go's fusion barrier), so no platform fuses it into a multiply-add.
 //
-// A Sampler serves one streamline: it is not safe for concurrent use, and
-// it must not be used across a write to its field, whose effect on the
-// loaded corners it would not see. Make a new one instead.
+// A Sampler serves one serial walk, such as a streamline or one rendered
+// image: it is not safe for concurrent use, and it must not be used across
+// a write to its field, whose effect on the loaded corners it would not
+// see. Make a new one instead.
 type Sampler struct {
 	f                *Field
 	dim              int
@@ -42,16 +43,18 @@ func NewSampler(f *Field) Sampler {
 	}
 }
 
-// Sample evaluates the piecewise-linear interpolant at point p, as
-// Field.Sample does: it returns the interpolated vector, the cell used, and
-// ok == false when p is outside the domain or has a NaN coordinate (2D
-// grids ignore p[2]). The third component is 0 for a field without W.
-func (s *Sampler) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
-	x, y := p[0], p[1]
+// Sample evaluates the piecewise-linear interpolant at point (x, y, z), as
+// Field.Sample does: it returns the interpolated vector (u, v, w), the cell
+// used, and ok == false when the point is outside the domain or has a NaN
+// coordinate (2D grids ignore z). w is 0 for a field without W. The point
+// and the vector pass as scalars because Go's register ABI passes no array
+// of more than one element in registers: a [3]float64 would go through the
+// stack on every call of the tracer's hot loop.
+func (s *Sampler) Sample(x, y, z float64) (u, v, w float64, cell int, ok bool) {
 	// Written as "inside" tests so that a NaN, which fails every
 	// comparison, is outside.
 	if !(x >= 0 && y >= 0 && x <= s.xmax && y <= s.ymax) {
-		return vec, 0, false
+		return 0, 0, 0, 0, false
 	}
 	// The far face maps into the last cell; x >= 0, so int(x) >= 0.
 	ci := min(int(x), s.nx-2)
@@ -70,14 +73,13 @@ func (s *Sampler) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
 		}
 		k := &grid.TriangleCorners[t]
 		a, b, c := &s.c[0], &s.c[k[1]&7], &s.c[k[2]&7]
-		vec[0] = 0 + float64(w0*a[0]) + float64(w1*b[0]) + float64(w2*c[0])
-		vec[1] = 0 + float64(w0*a[1]) + float64(w1*b[1]) + float64(w2*c[1])
-		vec[2] = 0 + float64(w0*a[2]) + float64(w1*b[2]) + float64(w2*c[2])
-		return vec, s.cube + t, true
+		u = 0 + float64(w0*a[0]) + float64(w1*b[0]) + float64(w2*c[0])
+		v = 0 + float64(w0*a[1]) + float64(w1*b[1]) + float64(w2*c[1])
+		w = 0 + float64(w0*a[2]) + float64(w1*b[2]) + float64(w2*c[2])
+		return u, v, w, s.cube + t, true
 	}
-	z := p[2]
 	if !(z >= 0 && z <= s.zmax) {
-		return vec, 0, false
+		return 0, 0, 0, 0, false
 	}
 	ck := min(int(z), s.nz-2)
 	lz := z - float64(ck)
@@ -88,10 +90,10 @@ func (s *Sampler) Sample(p [3]float64) (vec [3]float64, cell int, ok bool) {
 	w0, w1, w2, w3 := 1-s0, s0-s1, s1-s2, s2
 	k := &grid.KuhnCorners[t]
 	a, b, c, d := &s.c[0], &s.c[k[1]&7], &s.c[k[2]&7], &s.c[7]
-	vec[0] = 0 + float64(w0*a[0]) + float64(w1*b[0]) + float64(w2*c[0]) + float64(w3*d[0])
-	vec[1] = 0 + float64(w0*a[1]) + float64(w1*b[1]) + float64(w2*c[1]) + float64(w3*d[1])
-	vec[2] = 0 + float64(w0*a[2]) + float64(w1*b[2]) + float64(w2*c[2]) + float64(w3*d[2])
-	return vec, s.cube + t, true
+	u = 0 + float64(w0*a[0]) + float64(w1*b[0]) + float64(w2*c[0]) + float64(w3*d[0])
+	v = 0 + float64(w0*a[1]) + float64(w1*b[1]) + float64(w2*c[1]) + float64(w3*d[1])
+	w = 0 + float64(w0*a[2]) + float64(w1*b[2]) + float64(w2*c[2]) + float64(w3*d[2])
+	return u, v, w, s.cube + t, true
 }
 
 // load copies the corner values of the square or cube whose lowest corner

@@ -169,7 +169,8 @@ func TestSamplerMatchesReference(t *testing.T) {
 			hits := 0
 			for _, p := range samplePoints(tc.f, int64(ci)) {
 				want, wantCell, wantOK := fieldtest.RefSample(tc.f, p)
-				got, cell, ok := s.Sample(p)
+				u, v, w, cell, ok := s.Sample(p[0], p[1], p[2])
+				got := [3]float64{u, v, w}
 				if !sameSample(got, want, cell, wantCell, ok, wantOK) {
 					t.Fatalf("Sampler.Sample(%v) = %v, cell %d, %v; reference %v, cell %d, %v",
 						p, got, cell, ok, want, wantCell, wantOK)
@@ -228,8 +229,8 @@ func FuzzSample(f *testing.F) {
 				}
 			}
 			want, wantCell, wantOK := fieldtest.RefSample(fld, q)
-			got, cell, ok := s.Sample(q)
-			if !sameSample(got, want, cell, wantCell, ok, wantOK) {
+			u, v, w, cell, ok := s.Sample(q[0], q[1], q[2])
+			if got := [3]float64{u, v, w}; !sameSample(got, want, cell, wantCell, ok, wantOK) {
 				t.Fatalf("step %d: Sample(%v) = %v, cell %d, %v; reference %v, cell %d, %v",
 					i, q, got, cell, ok, want, wantCell, wantOK)
 			}
@@ -261,20 +262,30 @@ func BenchmarkSample3D(b *testing.B) {
 		}
 	}
 	var sink float64
-	run := func(name string, pts [][3]float64, sample func([3]float64) ([3]float64, int, bool)) {
+	run := func(name string, pts [][3]float64, sample func([3]float64) float64) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				v, _, _ := sample(pts[i%len(pts)])
-				sink += v[0]
+				sink += sample(pts[i%len(pts)])
 			}
 		})
 	}
-	ref := func(p [3]float64) ([3]float64, int, bool) { return fieldtest.RefSample(f, p) }
 	s := field.NewSampler(f)
-	run("random", random, s.Sample)
-	run("fieldSample", random, f.Sample)
+	sampler := func(p [3]float64) float64 {
+		u, _, _, _, _ := s.Sample(p[0], p[1], p[2])
+		return u
+	}
+	fieldSample := func(p [3]float64) float64 {
+		v, _, _ := f.Sample(p)
+		return v[0]
+	}
+	ref := func(p [3]float64) float64 {
+		v, _, _ := fieldtest.RefSample(f, p)
+		return v[0]
+	}
+	run("random", random, sampler)
+	run("fieldSample", random, fieldSample)
 	run("refRandom", random, ref)
-	run("walk", walk, s.Sample)
+	run("walk", walk, sampler)
 	run("refWalk", walk, ref)
 	_ = sink
 }

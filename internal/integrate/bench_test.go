@@ -2,7 +2,6 @@ package integrate_test
 
 import (
 	"testing"
-	"time"
 
 	"tspsz/internal/critical"
 	"tspsz/internal/experiments"
@@ -11,9 +10,11 @@ import (
 
 // BenchmarkTraceWindow3D traces every separatrix of a 14³ window of the
 // 18³ Nek5000 field with involved-vertex recording, at the nek5000
-// experiment's integration parameters: the tracing TspSZ-I runs on each
-// window of the nek3d-1 benchmark workload. ns/step is the time per RK4
-// step, stage samples and absorption probe included.
+// experiment's integration parameters. points keeps every trajectory, as
+// TraceSeparatrices does; record is the tracing TspSZ-I runs on each window
+// of the nek3d-1 benchmark workload, RecordSeparatricesOf per saddle, which
+// keeps no points. ns/step is the time per RK4 step, stage samples and
+// absorption probe included; both traces take the same steps.
 func BenchmarkTraceWindow3D(b *testing.B) {
 	cfg, err := experiments.Config("nek5000", experiments.DefaultScale)
 	if err != nil {
@@ -21,17 +22,27 @@ func BenchmarkTraceWindow3D(b *testing.B) {
 	}
 	f := integrate.NekWindow(14)
 	cps := critical.Extract(f)
-	var verts []int
+	loc := integrate.NewCPLocator(cps)
 	steps := 0
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		verts = verts[:0]
-		for _, tr := range integrate.TraceSeparatrices(f, cps, cfg.Params, &verts) {
-			steps += len(tr.Points) - 1
+	for _, tr := range integrate.TraceSeparatrices(f, cps, cfg.Params, nil) {
+		steps += len(tr.Points) - 1
+	}
+	var verts []int
+	run := func(name string, trace func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				verts = verts[:0]
+				trace()
+			}
+			if steps > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+			}
+		})
+	}
+	run("points", func() { integrate.TraceSeparatrices(f, cps, cfg.Params, &verts) })
+	run("record", func() {
+		for ci := range cps {
+			integrate.RecordSeparatricesOf(f, cps, loc, ci, cfg.Params, &verts)
 		}
-	}
-	if steps > 0 {
-		b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(steps), "ns/step")
-	}
+	})
 }

@@ -6,10 +6,15 @@
 // losslessly. A trajectory records a cell's vertices each time one of its
 // RK4 stages samples a cell other than the one it recorded last, so the
 // record is a list whose set is exactly the vertices of every cell sampled.
-// Each streamline samples through its own field.Sampler. Every product in
-// this package is written float64(a*b), the Go spec's barrier against
-// fusing it into a multiply-add, so traces round the same on every
-// platform (make fma-check holds it).
+// A trace keeps its points (TraceSeparatrices, Streamline, Retrace) or
+// only records (RecordSeparatricesOf, for TspSZ-I, which reads nothing
+// but the involved vertices); both run the one RK4 loop, so they record
+// the same list and end the same way. Each streamline samples through its
+// own field.Sampler, passing points and stage vectors as scalars so that
+// they stay in registers. Every product in this package is written
+// float64(a*b), the Go spec's barrier against fusing it into a
+// multiply-add, so traces round the same on every platform (make
+// fma-check holds it).
 package integrate
 
 import (
@@ -255,41 +260,46 @@ func (r *recorder) record(cell int) {
 	*r.out = r.g.CellVertices(cell, *r.out)
 }
 
-// rk4Step advances p by one RK4 step of size h·dir, sampling through smp.
-// ok is false when any of the four stage samples falls outside the domain.
-// rec records the cell of each stage sample.
-func rk4Step(smp *field.Sampler, p [3]float64, h, dir float64, rec *recorder) (np [3]float64, ok bool) {
-	sample := func(q [3]float64) ([3]float64, bool) {
-		v, cell, sOK := smp.Sample(q)
-		if !sOK {
-			return v, false
-		}
-		rec.record(cell)
-		v[0] *= dir
-		v[1] *= dir
-		v[2] *= dir
-		return v, true
-	}
-	k1, ok := sample(p)
+// rk4Step advances p = (px, py, pz) by one RK4 step of size h·dir,
+// sampling through smp. ok is false when any of the four stage samples
+// falls outside the domain. rec records the cell of each stage sample.
+// Points and stage vectors stay scalars, so they can live in registers (Go
+// passes no array of more than one element in one). The float operations
+// are, in order, those of the [3]float64 RK4 the tests keep as the
+// reference, and each product carries a float64 barrier, the dir scaling
+// too. The first stage samples p itself: p + 0·k would turn a −0
+// coordinate into +0.
+func rk4Step(smp *field.Sampler, px, py, pz, h, dir float64, rec *recorder) (nx, ny, nz float64, ok bool) {
+	h2 := h / 2
+	u1, v1, w1, cell, ok := smp.Sample(px, py, pz)
 	if !ok {
-		return p, false
+		return px, py, pz, false
 	}
-	k2, ok := sample(add(p, scale(k1, h/2)))
+	rec.record(cell)
+	u1, v1, w1 = float64(u1*dir), float64(v1*dir), float64(w1*dir)
+	u2, v2, w2, cell, ok := smp.Sample(px+float64(u1*h2), py+float64(v1*h2), pz+float64(w1*h2))
 	if !ok {
-		return p, false
+		return px, py, pz, false
 	}
-	k3, ok := sample(add(p, scale(k2, h/2)))
+	rec.record(cell)
+	u2, v2, w2 = float64(u2*dir), float64(v2*dir), float64(w2*dir)
+	u3, v3, w3, cell, ok := smp.Sample(px+float64(u2*h2), py+float64(v2*h2), pz+float64(w2*h2))
 	if !ok {
-		return p, false
+		return px, py, pz, false
 	}
-	k4, ok := sample(add(p, scale(k3, h)))
+	rec.record(cell)
+	u3, v3, w3 = float64(u3*dir), float64(v3*dir), float64(w3*dir)
+	u4, v4, w4, cell, ok := smp.Sample(px+float64(u3*h), py+float64(v3*h), pz+float64(w3*h))
 	if !ok {
-		return p, false
+		return px, py, pz, false
 	}
-	for d := 0; d < 3; d++ {
-		np[d] = p[d] + float64(h/6*(k1[d]+float64(2*k2[d])+float64(2*k3[d])+k4[d]))
-	}
-	return np, true
+	rec.record(cell)
+	u4, v4, w4 = float64(u4*dir), float64(v4*dir), float64(w4*dir)
+	h6 := h / 6
+	nx = px + float64(h6*(u1+float64(2*u2)+float64(2*u3)+u4))
+	ny = py + float64(h6*(v1+float64(2*v2)+float64(2*v3)+v4))
+	nz = pz + float64(h6*(w1+float64(2*w2)+float64(2*w3)+w4))
+	return nx, ny, nz, true
 }
 
 func add(a, b [3]float64) [3]float64 { return [3]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2]} }
@@ -303,15 +313,20 @@ func scale(a [3]float64, s float64) [3]float64 {
 // its critical points). When verts is non-nil, the vertex ids of each cell
 // an RK4 stage samples are appended to it once per cell entered.
 func Streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLocator, verts *[]int) Trajectory {
-	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts)
+	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts, true)
 }
 
-func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int) Trajectory {
+// streamline is the one RK4 loop. keep says whether the trajectory keeps
+// its points; a record-only trace (keep false) returns the same Term and
+// EndCP and records the same vertices, with Points nil.
+func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int, keep bool) Trajectory {
 	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
-	tr.Points = append(tr.Points, seed)
+	if keep {
+		tr.Points = append(tr.Points, seed)
+	}
 	rec := recorder{g: f.Grid, out: verts, last: -1}
 	smp := field.NewSampler(f)
-	p := seed
+	px, py, pz := seed[0], seed[1], seed[2]
 	const vEps = 1e-12
 	var orbits *orbitDetector
 	if par.DetectOrbits {
@@ -327,20 +342,23 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		orbits.visit(seed, 0)
 	}
 	for step := 0; step < par.MaxSteps; step++ {
-		np, ok := rk4Step(&smp, p, par.H, float64(dir), &rec)
+		nx, ny, nz, ok := rk4Step(&smp, px, py, pz, par.H, float64(dir), &rec)
 		if !ok {
 			tr.Term = LeftDomain
 			return tr
 		}
-		tr.Points = append(tr.Points, np)
+		np := [3]float64{nx, ny, nz}
+		if keep {
+			tr.Points = append(tr.Points, np)
+		}
 		if cp := loc.near(np, par.EpsP); cp >= 0 {
 			tr.Term = AbsorbedAtCP
 			tr.EndCP = cp
 			return tr
 		}
-		dx := np[0] - p[0]
-		dy := np[1] - p[1]
-		dz := np[2] - p[2]
+		dx := nx - px
+		dy := ny - py
+		dz := nz - pz
 		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < vEps*vEps {
 			tr.Term = ZeroVelocity
 			return tr
@@ -349,7 +367,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 			tr.Term = ClosedOrbit
 			return tr
 		}
-		p = np
+		px, py, pz = nx, ny, nz
 	}
 	return tr
 }
@@ -357,7 +375,7 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 // TraceStreamline is the public entry for a single streamline; it builds
 // the critical point locator internally.
 func TraceStreamline(f *field.Field, seed [3]float64, dir int, par Params, cps []critical.Point, verts *[]int) Trajectory {
-	return streamline(f, seed, dir, par, newCPLocator(cps), verts)
+	return streamline(f, seed, dir, par, newCPLocator(cps), verts, true)
 }
 
 // SeparatrixSeeds enumerates the separatrix seeds of a saddle: positions
@@ -379,31 +397,37 @@ func SeparatrixSeeds(cp critical.Point, epsP float64) (seeds [][3]float64, dirs 
 // separatrix appends to it the vertex ids of every cell it enters, once per
 // entry: as a set, the involved vertices of Algorithm 2, lines 12-18.
 func TraceSeparatrices(f *field.Field, cps []critical.Point, par Params, verts *[]int) []Trajectory {
-	loc := NewCPLocator(cps)
+	loc := newCPLocator(cps)
 	var out []Trajectory
-	for ci := range cps {
-		out = append(out, TraceSeparatricesOf(f, cps, loc, ci, par, verts)...)
+	for ci, cp := range cps {
+		if cp.Type != critical.Saddle {
+			continue
+		}
+		seeds, dirs, seedIdx := SeparatrixSeeds(cp, par.EpsP)
+		for si := range seeds {
+			tr := streamline(f, seeds[si], dirs[si], par, loc, verts, true)
+			tr.Saddle = ci
+			tr.SeedIdx = seedIdx[si]
+			out = append(out, tr)
+		}
 	}
 	return out
 }
 
-// TraceSeparatricesOf traces only the separatrices of the saddle at index
-// ci in cps, used by the parallel drivers and the iterative corrector. loc
-// must be built over cps; verts is recorded as by TraceSeparatrices.
-func TraceSeparatricesOf(f *field.Field, cps []critical.Point, loc *CPLocator, ci int, par Params, verts *[]int) []Trajectory {
+// RecordSeparatricesOf traces the separatrices of the saddle at index ci in
+// cps only to record them: it appends to verts what TraceSeparatrices
+// records for that saddle, in the same order, and keeps no trajectory
+// points. TspSZ-I's trace stage and the corrector's exact fallback need
+// only the involved vertices. loc must be built over cps.
+func RecordSeparatricesOf(f *field.Field, cps []critical.Point, loc *CPLocator, ci int, par Params, verts *[]int) {
 	cp := cps[ci]
 	if cp.Type != critical.Saddle {
-		return nil
+		return
 	}
-	seeds, dirs, seedIdx := SeparatrixSeeds(cp, par.EpsP)
-	out := make([]Trajectory, 0, len(seeds))
+	seeds, dirs, _ := SeparatrixSeeds(cp, par.EpsP)
 	for si := range seeds {
-		tr := streamline(f, seeds[si], dirs[si], par, (*cpLocator)(loc), verts)
-		tr.Saddle = ci
-		tr.SeedIdx = seedIdx[si]
-		out = append(out, tr)
+		streamline(f, seeds[si], dirs[si], par, (*cpLocator)(loc), verts, false)
 	}
-	return out
 }
 
 // Retrace re-traces a single separatrix identified by its originating
@@ -416,7 +440,7 @@ func Retrace(f *field.Field, cps []critical.Point, loc *CPLocator, t *Trajectory
 		sign = -1
 	}
 	seed := add(cp.Pos, scale(cp.SeedDirs[dirIdx], sign*par.EpsP))
-	tr := streamline(f, seed, cp.SeedSigns[dirIdx], par, (*cpLocator)(loc), verts)
+	tr := streamline(f, seed, cp.SeedSigns[dirIdx], par, (*cpLocator)(loc), verts, true)
 	tr.Saddle = t.Saddle
 	tr.SeedIdx = t.SeedIdx
 	return tr

@@ -97,8 +97,22 @@ func vertexSet(verts []int) []int {
 	return slices.Compact(s)
 }
 
+// sameTrajectory compares two trajectories' points bit for bit, so a −0
+// that became +0 differs, except that any NaN equals any NaN (Go leaves a
+// NaN's sign and payload to the hardware).
 func sameTrajectory(a, b *Trajectory) bool {
-	return a.Term == b.Term && a.EndCP == b.EndCP && slices.Equal(a.Points, b.Points)
+	if a.Term != b.Term || a.EndCP != b.EndCP || len(a.Points) != len(b.Points) {
+		return false
+	}
+	for i, p := range a.Points {
+		for d, x := range p {
+			y := b.Points[i][d]
+			if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // cellularFlow is a 2D field of counter-rotating gyres with a small
@@ -131,11 +145,16 @@ func nekWindow(n int) *field.Field {
 	return f
 }
 
-// Recording each cell once per entry keeps the set of every-stage
-// recording: for every separatrix, and for every prefix-limited retrace the
-// corrector runs, the trajectory is the reference's and the recorded
-// vertex set is the reference's.
-func TestRecordedSetMatchesEveryStageRecording(t *testing.T) {
+type traceCase struct {
+	name string
+	f    *field.Field
+	par  Params
+}
+
+// separatrixCases are the fields whose separatrices the tracer is held to
+// the reference on: a 2D gyre, ocean and hurricane, and an 8³ Nek5000
+// window.
+func separatrixCases(t *testing.T) []traceCase {
 	ocean, err := datagen.ByName("ocean", 0.03)
 	if err != nil {
 		t.Fatal(err)
@@ -144,17 +163,20 @@ func TestRecordedSetMatchesEveryStageRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		f    *field.Field
-		par  Params
-	}{
+	return []traceCase{
 		{"gyre", cellularFlow(48, 40), Params{EpsP: 1e-2, MaxSteps: 1000, H: 0.05}},
 		{"ocean", ocean, Params{EpsP: 1e-2, MaxSteps: 1000, H: 2.5e-2}},
 		{"hurricane", hurricane, Params{EpsP: 1e-2, MaxSteps: 1000, H: 5e-2}},
 		{"nek5000-window", nekWindow(8), Params{EpsP: 1e-2, MaxSteps: 400, H: 2.5e-2}},
 	}
-	for _, tc := range cases {
+}
+
+// Recording each cell once per entry keeps the set of every-stage
+// recording: for every separatrix, and for every prefix-limited retrace the
+// corrector runs, the trajectory is the reference's and the recorded
+// vertex set is the reference's.
+func TestRecordedSetMatchesEveryStageRecording(t *testing.T) {
+	for _, tc := range separatrixCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			cps := critical.Extract(tc.f)
 			loc := newCPLocator(cps)
@@ -202,6 +224,137 @@ func TestRecordedSetMatchesEveryStageRecording(t *testing.T) {
 				len(trs), len(all), len(refAll), len(vertexSet(all)))
 		})
 	}
+}
+
+// A record-only trace is the point-keeping trace without its points: for
+// every separatrix of the reference cases it records the same vertex list
+// in the same order and ends with the same Term and EndCP, and
+// RecordSeparatricesOf over every saddle records what TraceSeparatrices
+// does.
+func TestRecordOnlyMatchesPointTrace(t *testing.T) {
+	for _, tc := range separatrixCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cps := critical.Extract(tc.f)
+			loc := newCPLocator(cps)
+			n := 0
+			for ci, cp := range cps {
+				if cp.Type != critical.Saddle {
+					continue
+				}
+				seeds, dirs, _ := SeparatrixSeeds(cp, tc.par.EpsP)
+				for si := range seeds {
+					var kept, recorded []int
+					want := streamline(tc.f, seeds[si], dirs[si], tc.par, loc, &kept, true)
+					got := streamline(tc.f, seeds[si], dirs[si], tc.par, loc, &recorded, false)
+					if got.Points != nil {
+						t.Fatalf("saddle %d seed %d: record-only trace kept %d points", ci, si, len(got.Points))
+					}
+					if got.Term != want.Term || got.EndCP != want.EndCP {
+						t.Fatalf("saddle %d seed %d: record-only trace ends %v at %d, point trace %v at %d",
+							ci, si, got.Term, got.EndCP, want.Term, want.EndCP)
+					}
+					if !slices.Equal(recorded, kept) {
+						t.Fatalf("saddle %d seed %d: record-only trace recorded %d ids, point trace %d (or another order)",
+							ci, si, len(recorded), len(kept))
+					}
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatal("setup: no separatrices")
+			}
+			var want, got []int
+			TraceSeparatrices(tc.f, cps, tc.par, &want)
+			for ci := range cps {
+				RecordSeparatricesOf(tc.f, cps, (*CPLocator)(loc), ci, tc.par, &got)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("RecordSeparatricesOf recorded %d ids, TraceSeparatrices %d (or another order)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// Streamlines seeded on −0 coordinates, over fields holding −0 components,
+// match the reference bit for bit, the sign of each zero included, and the
+// record-only trace matches them. A sample's sums start at +0, so its zeros
+// are +0; backward tracing scales them by −1 to −0, and a coordinate that
+// starts at −0 then stays −0 along the whole trajectory. An operation that
+// adds zero to a stage vector or a point turns it into +0.
+func TestTraceMatchesReferenceAtNegativeZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	// shear flows along y at a speed that varies with x; its u is −0.
+	shear := field.New2D(12, 10)
+	fill2D(shear, func(x, y float64) (float64, float64) { return 0, 0.3 + 0.05*x })
+	for i := range shear.U {
+		shear.U[i] = negZero
+	}
+	// planar is the Nek5000 window with W = −0: every trajectory stays in
+	// its z-plane.
+	planar := nekWindow(8)
+	for i := range planar.W {
+		planar.W[i] = negZero
+	}
+	z := math.Copysign(0, -1)
+	cases := []struct {
+		name  string
+		f     *field.Field
+		seeds [][3]float64
+	}{
+		{"gyre", cellularFlow(48, 40), [][3]float64{{z, 3.3, 0}, {7.5, z, 0}, {z, z, z}, {12.25, 20.5, z}}},
+		{"shear", shear, [][3]float64{{z, 1.5, 0}, {z, 4.75, z}, {3.5, z, 0}, {11, 2, z}}},
+		{"nek5000-planar", planar, [][3]float64{{3.3, 2.2, z}, {z, 4.1, z}, {2.5, z, 3}, {z, z, z}, {6.5, 1.5, 7}}},
+		{"nek5000-window", nekWindow(8), [][3]float64{{z, 3.5, 2.5}, {4.2, z, 1.1}, {2.6, 5.3, z}}},
+	}
+	par := Params{EpsP: 1e-2, MaxSteps: 300, H: 5e-2}
+	negZeros := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cps := critical.Extract(tc.f)
+			loc := newCPLocator(cps)
+			steps := 0
+			for _, seed := range tc.seeds {
+				for _, dir := range []int{1, -1} {
+					var want, kept, recorded []int
+					ref := refTrace(tc.f, seed, dir, par, loc, &want)
+					tr := streamline(tc.f, seed, dir, par, loc, &kept, true)
+					if !sameTrajectory(&tr, &ref) {
+						t.Fatalf("seed %v dir %d: trajectory differs from the reference (%v after %d points, want %v after %d)",
+							seed, dir, tr.Term, len(tr.Points), ref.Term, len(ref.Points))
+					}
+					steps += len(ref.Points) - 1
+					negZeros += negZerosAfterSeed(&ref)
+					if !slices.Equal(vertexSet(kept), vertexSet(want)) {
+						t.Fatalf("seed %v dir %d: recorded %d distinct vertices, want %d",
+							seed, dir, len(vertexSet(kept)), len(vertexSet(want)))
+					}
+					rec := streamline(tc.f, seed, dir, par, loc, &recorded, false)
+					if rec.Term != tr.Term || rec.EndCP != tr.EndCP || !slices.Equal(recorded, kept) {
+						t.Fatalf("seed %v dir %d: record-only trace differs from the point trace", seed, dir)
+					}
+				}
+			}
+			if steps == 0 {
+				t.Error("setup: no seed took a step")
+			}
+		})
+	}
+	if negZeros == 0 {
+		t.Error("setup: no trajectory kept a −0 coordinate past its seed")
+	}
+}
+
+// negZerosAfterSeed counts the −0 coordinates of tr's points after its seed.
+func negZerosAfterSeed(tr *Trajectory) int {
+	n := 0
+	for _, p := range tr.Points[1:] {
+		for _, x := range p {
+			if x == 0 && math.Signbit(x) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // nearCases are the locators the absorption probe is held to the full scan

@@ -9,7 +9,7 @@ package quantizer
 // CubicMid predicts the midpoint between b and c given the equally spaced
 // samples a, b, c, d (classic -1/16, 9/16, 9/16, -1/16 stencil).
 func CubicMid(a, b, c, d float64) float64 {
-	return (-a + 9*b + 9*c - d) / 16
+	return (-a + float64(9*b) + float64(9*c) - d) / 16
 }
 
 // LinearMid predicts the midpoint between two samples.

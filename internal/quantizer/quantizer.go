@@ -63,7 +63,7 @@ func Quantize(x, pred, eb float64, radius int32) (code int32, recon float64, ok 
 		return 0, 0, false
 	}
 	code = int32(math.Floor(d + 0.5))
-	r64 := pred + 2*eb*float64(code)
+	r64 := pred + float64(2*eb*float64(code))
 	r32 := float64(float32(r64))
 	if math.Abs(r32-x) > eb {
 		return 0, 0, false
@@ -74,7 +74,7 @@ func Quantize(x, pred, eb float64, radius int32) (code int32, recon float64, ok 
 // Reconstruct inverts Quantize on the decoder side: it must produce exactly
 // the float32 value the encoder stored.
 func Reconstruct(pred, eb float64, code int32) float64 {
-	return float64(float32(pred + 2*eb*float64(code)))
+	return float64(float32(pred + float64(2*eb*float64(code))))
 }
 
 // Zigzag maps a signed code onto the non-negative symbol space used by the

@@ -61,12 +61,13 @@ func Skeleton(f, dec *field.Field, opts SkeletonOptions) (*image.RGBA, error) {
 				maxM = m
 			}
 		}
+		smp := field.NewSampler(f) // Heatmap samples pixel by pixel, serially
 		c.Heatmap(func(x, y float64) float64 {
-			vec, _, ok := f.Sample([3]float64{x, y, 0})
+			u, v, _, _, ok := smp.Sample(x, y, 0)
 			if !ok {
 				return 0
 			}
-			return math.Hypot(vec[0], vec[1])
+			return math.Hypot(u, v)
 		}, 0, maxM, Viridis)
 	}
 

@@ -61,6 +61,9 @@ func LIC(f *field.Field, opts LICOptions) *image.RGBA {
 		return noise[py*w+px], true
 	}
 
+	// One sampler serves every march: they run one after another and
+	// never write f.
+	smp := field.NewSampler(f)
 	for py := 0; py < h; py++ {
 		for px := 0; px < w; px++ {
 			x, y := c.GridPos(px, py)
@@ -73,16 +76,16 @@ func LIC(f *field.Field, opts LICOptions) *image.RGBA {
 			for _, dir := range []float64{1, -1} {
 				cx, cy := x, y
 				for s := 0; s < opts.Length; s++ {
-					vec, _, ok := f.Sample([3]float64{cx, cy, 0})
+					vx, vy, _, _, ok := smp.Sample(cx, cy, 0)
 					if !ok {
 						break
 					}
-					mag := math.Hypot(vec[0], vec[1])
+					mag := math.Hypot(vx, vy)
 					if mag < 1e-12 {
 						break
 					}
-					cx += dir * step * vec[0] / mag
-					cy += dir * step * vec[1] / mag
+					cx += dir * step * vx / mag
+					cy += dir * step * vy / mag
 					v, ok := sampleNoise(cx, cy)
 					if !ok {
 						break

@@ -1,6 +1,9 @@
 package render
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"image"
 	"image/color"
 	"math"
 	"testing"
@@ -153,6 +156,35 @@ func TestSkeletonFigure(t *testing.T) {
 	}
 	if !foundHighlight {
 		t.Error("no wrong/truth highlighting despite heavy distortion")
+	}
+}
+
+// LIC and Skeleton's magnitude heatmap sample through one field.Sampler
+// per image. The digests were recorded with a fresh sampler per point
+// (Field.Sample), so the images are pixel for pixel the same.
+func TestImagesPinned(t *testing.T) {
+	f := gyre(24, 24)
+	par := integrate.Params{EpsP: 1e-2, MaxSteps: 100, H: 0.05}
+	heatmap, err := Skeleton(f, nil, SkeletonOptions{Zoom: 2, Params: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLIC, err := Skeleton(f, nil, SkeletonOptions{Zoom: 2, Params: par, LICBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		img  *image.RGBA
+		want string
+	}{
+		{"lic", LIC(f, LICOptions{Zoom: 2, Length: 8}), "a2e2f963351b0c88a444d8f9976b92392e0ded5199ddb8bf5628f0567faf0b55"},
+		{"skeleton-heatmap", heatmap, "7c604067a3f6433efac719c6213c194958a2a99ac3138c76ce6da2a635d9ce7e"},
+		{"skeleton-lic", withLIC, "d37a87734c4e378b47c50776697164fa1418365483f19a2e92529bb7e1cc7f03"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.img.Pix)); got != tc.want {
+			t.Errorf("%s: image SHA-256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
