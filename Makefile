@@ -30,11 +30,11 @@ lint:
 # would move traces, and so the involved-vertex sets and archives, off the
 # amd64 ones. Writing each product as float64(x*y), the Go spec's fusion
 # barrier, prevents it. Cross-compile the tracer's packages, the quantizer
-# (Quantize and Reconstruct, which decode runs) and core (dist picks
-# fixTraj's divergence point) for those architectures and fail on any
-# fused multiply-add or -subtract in their assembly, or when none of them
-# printed assembly.
-FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate ./internal/quantizer ./internal/core
+# (Quantize and Reconstruct, which decode runs), core (dist picks
+# fixTraj's divergence point) and ebound (the bound derivation kernel) for
+# those architectures and fail on any fused multiply-add or -subtract in
+# their assembly, or when none of them printed assembly.
+FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate ./internal/quantizer ./internal/core ./internal/ebound
 FMA_ARCHS = arm64 ppc64le s390x riscv64
 fma-check:
 	@for arch in $(FMA_ARCHS); do \

@@ -466,12 +466,13 @@ func fixTraj(orig, dec *field.Field, cps []critical.Point, loc *integrate.CPLoca
 		var verts []int
 		log.traceLocked(func() {
 			// Vertices the decompressed trace currently involves (line 13)...
-			integrate.Retrace(dec, cps, loc, td, par, &verts)
+			integrate.RecordRetrace(dec, cps, loc, td, par, &verts)
 		})
 		// ...plus the vertices the original trajectory involves over the
 		// same prefix, so the patched trace provably follows it (orig is
-		// never written, so no lock is needed).
-		integrate.Retrace(orig, cps, loc, td, par, &verts)
+		// never written, so no lock is needed). Only the vertices are
+		// read, so neither retrace keeps its points.
+		integrate.RecordRetrace(orig, cps, loc, td, par, &verts)
 		log.apply(orig, dec, verts)
 
 		var full integrate.Trajectory

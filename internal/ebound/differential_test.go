@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tspsz/internal/critical"
 	"tspsz/internal/field"
 )
 
@@ -100,54 +99,6 @@ func TestVertexBoundMatchesReference(t *testing.T) {
 			}
 		}
 	})
-}
-
-// numerators2D and numerators3D repeat critical's barycentric evaluation;
-// with any numerator supplied from the full evaluation they must return
-// its results bit for bit.
-func TestNumeratorsMatchCritical(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	val := func() float64 {
-		if rng.Intn(4) == 0 {
-			return float64(specials[rng.Intn(len(specials))])
-		}
-		return rng.NormFloat64()
-	}
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-	}
-	for trial := 0; trial < 20000; trial++ {
-		var v2 [3][2]float64
-		for i := range v2 {
-			v2[i] = [2]float64{val(), val()}
-		}
-		m, M := critical.Barycentric2D(v2)
-		for skip := -1; skip < 3; skip++ {
-			given := 0.0
-			if skip >= 0 {
-				given = m[skip]
-			}
-			d, dm := numerators2D(&v2, skip, given)
-			if !same(dm, M) || !same(d[0], m[0]) || !same(d[1], m[1]) || !same(d[2], m[2]) {
-				t.Fatalf("2D %v skip %d: %v %v, want %v %v", v2, skip, d, dm, m, M)
-			}
-		}
-		var v3 [4][3]float64
-		for i := range v3 {
-			v3[i] = [3]float64{val(), val(), val()}
-		}
-		n, N := critical.Barycentric3D(v3)
-		for skip := -1; skip < 4; skip++ {
-			given := 0.0
-			if skip >= 0 {
-				given = n[skip]
-			}
-			d, dm := numerators3D(&v3, skip, given)
-			if !same(dm, N) || !same(d[0], n[0]) || !same(d[1], n[1]) || !same(d[2], n[2]) || !same(d[3], n[3]) {
-				t.Fatalf("3D %v skip %d: %v %v, want %v %v", v3, skip, d, dm, n, N)
-			}
-		}
-	}
 }
 
 // FuzzVertexBound holds VertexBound and VertexBoundSoS to the reference on

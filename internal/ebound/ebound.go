@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"tspsz/internal/field"
-	"tspsz/internal/mat"
 )
 
 // Mode selects the error-control flavour.
@@ -37,16 +36,13 @@ func (m Mode) String() string {
 }
 
 // signEB returns the maximal error bound keeping the sign of the linear
-// expression C + Σ_i A_i·ξ_i where each |ξ_i| ≤ ε·w_i. In absolute mode all
-// weights w_i are 1 (Lemma 1: ε = |C| / Σ|A_i|); in relative mode w_i is
-// the magnitude of the perturbed component (ε = |C| / Σ|A_i·x_i|).
+// expression C + Σ_i A_i·ξ_i where each |ξ_i| ≤ ε·w_i, given the
+// denominator den = Σ_i |A_i·w_i| summed in component order. In absolute
+// mode all weights w_i are 1 (Lemma 1: ε = |C| / Σ|A_i|); in relative mode
+// w_i is the magnitude of the perturbed component (ε = |C| / Σ|A_i·x_i|).
 // A zero denominator means the expression ignores the perturbation: +Inf.
 // A zero C means the sign is not strictly preservable: 0.
-func signEB(c float64, coeffs, weights *[3]float64, n int) float64 {
-	den := 0.0
-	for i := 0; i < n; i++ {
-		den += math.Abs(coeffs[i] * weights[i])
-	}
+func signEB(c, den float64) float64 {
 	//lint:allow floatcmp den is a sum of |a_i·w_i|: exactly zero iff every term is ±0, the perturbation-free case
 	if den == 0 {
 		return math.Inf(1)
@@ -63,67 +59,77 @@ func signEB(c float64, coeffs, weights *[3]float64, n int) float64 {
 	return math.Abs(c) / den * margin
 }
 
+// minNaN is math.Min for operands that are never −0: NaN when either
+// operand is NaN, else the smaller one.
+func minNaN(x, y float64) float64 {
+	if x < y || math.IsNaN(x) {
+		return x
+	}
+	return y
+}
+
 // linearization holds one cell's barycentric numerators as affine
-// functions of a perturbation ξ of vertex cur's components: numerator k is
+// functions of a perturbation ξ of the centre's components: numerator k is
 // d[k] + Σ_i (p[i][k] − d[k])·ξ_i, and their sum is m + Σ_i (pm[i] − m)·ξ_i.
 // Every numerator is linear in the perturbation, so one evaluation of the
 // cell and one per perturbed component give all of them exactly; the bound
-// for any k then reads them without evaluating the cell again.
+// for any k then reads them without evaluating the cell again. n is the
+// number of components, 2 or 3.
 type linearization struct {
 	d  [4]float64    // numerators of the unperturbed cell (three in 2D)
 	m  float64       // their sum M
-	p  [3][4]float64 // numerators with component i of vertex cur raised by 1
+	p  [3][4]float64 // numerators with component i of the centre raised by 1
 	pm [3]float64    // their sums
+	n  int
 }
 
-// unit[i] raises component i by one. Adding the zeros too keeps the float
-// operations those of the reference derivation, where x + 0 maps −0 to +0.
-var unit = [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-
-// holdsCP reports whether the cell contains a critical point: M ≠ 0 and
-// every barycentric coordinate d[k]/M of the nv vertices lies in [0, 1].
-// A NaN coordinate fails neither comparison, so a NaN cell counts as
-// holding one and its vertex is stored losslessly.
-func (l *linearization) holdsCP(nv int) bool {
-	//lint:allow floatcmp exact-zero degeneracy guard before dividing by M; a degenerate cell holds no critical point
-	if l.m == 0 {
-		return false
+// numeratorEB returns the largest ε that keeps the sign of numerator k
+// under any perturbation |ξ_i| ≤ ε·w_i: C = d_k, A_i = p_ik − d_k.
+func (l *linearization) numeratorEB(k int, w *[3]float64) float64 {
+	c := l.d[k]
+	den := math.Abs(float64((l.p[0][k]-c)*w[0])) + math.Abs(float64((l.p[1][k]-c)*w[1]))
+	if l.n == 3 {
+		den += math.Abs(float64((l.p[2][k] - c) * w[2]))
 	}
-	for k := 0; k < nv; k++ {
-		if mu := l.d[k] / l.m; mu < 0 || mu > 1 {
-			return false
-		}
-	}
-	return true
+	return signEB(c, den)
 }
 
-// bound returns the largest ε that keeps the signs of numerator k and of
-// M minus it under any perturbation |ξ_i| ≤ ε·w_i of the n components.
-func (l *linearization) bound(k, n int, w *[3]float64) float64 {
-	c0, c1 := l.d[k], l.m-l.d[k]
-	var a0, a1 [3]float64
-	for i := 0; i < n; i++ {
-		a0[i] = l.p[i][k] - c0
-		a1[i] = (l.pm[i] - l.p[i][k]) - c1
+// restEB is numeratorEB for M minus numerator k: C = M − d_k,
+// A_i = (M_i − p_ik) − C.
+func (l *linearization) restEB(k int, w *[3]float64) float64 {
+	c := l.m - l.d[k]
+	den := math.Abs(float64(((l.pm[0]-l.p[0][k])-c)*w[0])) + math.Abs(float64(((l.pm[1]-l.p[1][k])-c)*w[1]))
+	if l.n == 3 {
+		den += math.Abs(float64(((l.pm[2] - l.p[2][k]) - c) * w[2]))
 	}
-	return math.Min(signEB(c0, &a0, w, n), signEB(c1, &a1, w, n))
+	return signEB(c, den)
 }
 
-// coupled is Theorem 1's bound for a critical-point-free cell of nv
-// vertices: the largest per-k bound over the coordinates that lie outside
-// [0, 1], since keeping any one of them outside keeps the zero out. In a
-// degenerate cell (M = 0) every k counts as outside.
-func (l *linearization) coupled(nv, n int, w *[3]float64) float64 {
+// coupled is Theorem 1's bound for a critical-point-free cell: the largest
+// per-k bound over the k in the eligible mask, the coordinates μ_k outside
+// [0, 1], since keeping any one of them outside keeps the zero out. The
+// bound of k keeps the signs of numerator k and of M minus it, so it is
+// the smaller of numeratorEB and restEB. The caller needs the cell's bound
+// only when it is below floor: coupled returns it then, and otherwise some
+// value at least floor. So it stops once a k's bound reaches floor, and
+// skips restEB where numeratorEB is already no more than the best so far,
+// since that k can then neither raise the best nor reach floor.
+func (l *linearization) coupled(eligible uint8, w *[3]float64, floor float64) float64 {
 	best := 0.0
-	for k := 0; k < nv; k++ {
-		//lint:allow floatcmp exact-zero division guard; the derived bound itself is sign-safe for any M != 0
-		if l.m != 0 {
-			if mu := l.d[k] / l.m; mu >= 0 && mu <= 1 {
-				continue
-			}
+	for k := 0; k <= l.n; k++ {
+		if eligible>>k&1 == 0 {
+			continue
 		}
-		if e := l.bound(k, n, w); e > best {
+		e := l.numeratorEB(k, w)
+		if e <= best {
+			continue
+		}
+		e = minNaN(e, l.restEB(k, w))
+		if e > best {
 			best = e
+		}
+		if e >= floor {
+			break
 		}
 	}
 	return best
@@ -131,128 +137,31 @@ func (l *linearization) coupled(nv, n int, w *[3]float64) float64 {
 
 // sos is the cpSZ-sos bound: the smallest per-k bound, keeping the sign of
 // every numerator.
-func (l *linearization) sos(nv, n int, w *[3]float64) float64 {
+func (l *linearization) sos(w *[3]float64) float64 {
 	best := math.Inf(1)
-	for k := 0; k < nv; k++ {
-		if e := l.bound(k, n, w); e < best {
+	for k := 0; k <= l.n; k++ {
+		if e := minNaN(l.numeratorEB(k, w), l.restEB(k, w)); e < best {
 			best = e
 		}
 	}
 	return best
 }
 
-// numerators2D returns critical.Barycentric2D(*v) by the same float
-// operations, except that numerator skip, the one that does not read
-// v[skip], is taken as given when skip ≥ 0.
-func numerators2D(v *[3][2]float64, skip int, given float64) (d [4]float64, m float64) {
-	if skip != 0 {
-		d[0] = mat.Det2(v[1][0], v[2][0], v[1][1], v[2][1])
-	}
-	if skip != 1 {
-		d[1] = mat.Det2(v[2][0], v[0][0], v[2][1], v[0][1])
-	}
-	if skip != 2 {
-		d[2] = mat.Det2(v[0][0], v[1][0], v[0][1], v[1][1])
-	}
-	if skip >= 0 {
-		d[skip] = given
-	}
-	return d, d[0] + d[1] + d[2]
-}
+// unit[i] raises component i by one. Adding the zeros too keeps the float
+// operations those of the reference derivation, where x + 0 maps −0 to +0.
+var unit = [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 
-// det3 is the determinant of the matrix with columns a, b, c, as
-// critical.Barycentric3D evaluates it.
-func det3(a, b, c *[3]float64) float64 {
-	return mat.Det3([9]float64{
-		a[0], b[0], c[0],
-		a[1], b[1], c[1],
-		a[2], b[2], c[2],
-	})
-}
-
-// numerators3D is numerators2D's tetrahedral analogue, repeating
-// critical.Barycentric3D.
-func numerators3D(v *[4][3]float64, skip int, given float64) (d [4]float64, m float64) {
-	if skip != 0 {
-		d[0] = -det3(&v[1], &v[2], &v[3])
+// perturbWeights returns signEB's weights for the n components of the
+// centre x: 1 in absolute mode, |x_i| otherwise.
+func perturbWeights(x *[3]float64, n int, mode Mode) (w [3]float64) {
+	for i := 0; i < n; i++ {
+		if mode == Absolute {
+			w[i] = 1
+		} else {
+			w[i] = math.Abs(x[i])
+		}
 	}
-	if skip != 1 {
-		d[1] = det3(&v[0], &v[2], &v[3])
-	}
-	if skip != 2 {
-		d[2] = -det3(&v[0], &v[1], &v[3])
-	}
-	if skip != 3 {
-		d[3] = det3(&v[0], &v[1], &v[2])
-	}
-	if skip >= 0 {
-		d[skip] = given
-	}
-	return d, d[0] + d[1] + d[2] + d[3]
-}
-
-// cell2D returns the maximal error bound for perturbing both components of
-// vertex cur of a triangle with vertex vectors v, such that the cell cannot
-// acquire a false-positive critical point. hasCP reports that the cell
-// already contains a critical point, in which case the vertex must be
-// stored losslessly and eb is 0. With sos it returns the cpSZ-sos bound
-// instead, which keeps the sign of every m_k and M−m_k, and never reports
-// hasCP.
-//
-// Both come from one linearization of the cell. v[cur] is perturbed in
-// place and restored before returning.
-func cell2D(v *[3][2]float64, cur int, mode Mode, sos bool) (eb float64, hasCP bool) {
-	var l linearization
-	l.d, l.m = numerators2D(v, -1, 0)
-	if !sos && l.holdsCP(3) {
-		return 0, true
-	}
-	x := v[cur]
-	for i := 0; i < 2; i++ {
-		v[cur] = [2]float64{x[0] + unit[i][0], x[1] + unit[i][1]}
-		l.p[i], l.pm[i] = numerators2D(v, cur, l.d[cur])
-	}
-	v[cur] = x
-	w := perturbWeights2D(x, mode)
-	if sos {
-		return l.sos(3, 2, &w), false
-	}
-	return l.coupled(3, 2, &w), false
-}
-
-func perturbWeights2D(cur [2]float64, mode Mode) [3]float64 {
-	if mode == Absolute {
-		return [3]float64{1, 1}
-	}
-	return [3]float64{math.Abs(cur[0]), math.Abs(cur[1])}
-}
-
-// cell3D is the tetrahedral analogue of cell2D, using the generalized
-// Lemma 1 bound ε = |C| / Σ|A_i| over the three perturbed components.
-func cell3D(v *[4][3]float64, cur int, mode Mode, sos bool) (eb float64, hasCP bool) {
-	var l linearization
-	l.d, l.m = numerators3D(v, -1, 0)
-	if !sos && l.holdsCP(4) {
-		return 0, true
-	}
-	x := v[cur]
-	for i := 0; i < 3; i++ {
-		v[cur] = [3]float64{x[0] + unit[i][0], x[1] + unit[i][1], x[2] + unit[i][2]}
-		l.p[i], l.pm[i] = numerators3D(v, cur, l.d[cur])
-	}
-	v[cur] = x
-	w := perturbWeights3D(x, mode)
-	if sos {
-		return l.sos(4, 3, &w), false
-	}
-	return l.coupled(4, 3, &w), false
-}
-
-func perturbWeights3D(cur [3]float64, mode Mode) [3]float64 {
-	if mode == Absolute {
-		return [3]float64{1, 1, 1}
-	}
-	return [3]float64{math.Abs(cur[0]), math.Abs(cur[1]), math.Abs(cur[2])}
+	return w
 }
 
 // VertexBound aggregates the per-cell bounds over all cells adjacent to
@@ -265,39 +174,49 @@ func VertexBound(f *field.Field, idx int, mode Mode) (eb float64, hasCP bool) {
 	return vertexBound(f, idx, mode, false)
 }
 
-// vertexBound takes the minimum of cell2D or cell3D over the star of
-// vertex idx, stopping at the first cell that holds a critical point. No
-// cell bound is NaN, so neither the minimum nor the stop depends on the
-// order in which the star is visited.
+// vertexBound is the one derivation kernel: one pass over the star of
+// vertex idx that evaluates each minor and face determinant once for all
+// the cells sharing it (star.go).
 func vertexBound(f *field.Field, idx int, mode Mode, sos bool) (eb float64, hasCP bool) {
-	g := f.Grid
-	i, j, k := g.VertexCoords(idx)
-	star := g.Star()
+	t := &star2D
+	if f.Dim() == 3 {
+		t = &star3D
+	}
+	var s starValues
+	s.load(t, f, idx)
+	return s.bound(t, mode, sos)
+}
+
+// bound derives the bound of the loaded star. Every present cell's
+// unperturbed numerators are checked for a critical point before any
+// perturbed work; then each cell is linearized from the shared perturbed
+// determinants and its bound taken, the coupled one stopping at the first
+// k whose bound reaches the star's running minimum. No cell bound is NaN,
+// so neither the minimum, the stop at a critical-point cell nor the early
+// exit depends on the order in which the star is visited.
+func (s *starValues) bound(t *star, mode Mode, sos bool) (eb float64, hasCP bool) {
+	s.numerators(t)
+	if !sos {
+		for c := range t.cells {
+			if s.present>>c&1 != 0 && s.classify(t, c) {
+				return 0, true
+			}
+		}
+	}
+	s.perturb(t)
+	w := perturbWeights(&s.val[0], t.dim, mode)
 	eb = math.Inf(1)
-	for s := range star {
-		sc := &star[s]
-		if _, ok := g.StarCellAt(sc, i, j, k); !ok {
+	var l linearization
+	for c := range t.cells {
+		if s.present>>c&1 == 0 {
 			continue
 		}
+		s.linearize(t, c, &l)
 		var cellEB float64
-		var cellCP bool
-		if f.Dim() == 2 {
-			var v [3][2]float64
-			for r := range v {
-				vi := idx + g.VertexIndex(sc.Off[r][0], sc.Off[r][1], 0)
-				v[r] = [2]float64{float64(f.U[vi]), float64(f.V[vi])}
-			}
-			cellEB, cellCP = cell2D(&v, sc.Cur, mode, sos)
+		if sos {
+			cellEB = l.sos(&w)
 		} else {
-			var v [4][3]float64
-			for r := range v {
-				vi := idx + g.VertexIndex(sc.Off[r][0], sc.Off[r][1], sc.Off[r][2])
-				v[r] = [3]float64{float64(f.U[vi]), float64(f.V[vi]), float64(f.W[vi])}
-			}
-			cellEB, cellCP = cell3D(&v, sc.Cur, mode, sos)
-		}
-		if cellCP {
-			return 0, true
+			cellEB = l.coupled(s.eligible[c], &w, eb)
 		}
 		if cellEB < eb {
 			eb = cellEB

@@ -50,7 +50,7 @@ func TestCell2DAbsoluteNoFalsePositives(t *testing.T) {
 			continue
 		}
 		cur := rng.Intn(3)
-		eb, hasCP := cell2D(&v, cur, Absolute, false)
+		eb, hasCP := oneCell2D(v, cur, Absolute, false)
 		if hasCP {
 			t.Fatalf("trial %d: hasCP for cp-free cell", trial)
 		}
@@ -104,7 +104,7 @@ func TestCell2DRelativeNoFalsePositives(t *testing.T) {
 			continue
 		}
 		cur := rng.Intn(3)
-		ebr, hasCP := cell2D(&v, cur, Relative, false)
+		ebr, hasCP := oneCell2D(v, cur, Relative, false)
 		if hasCP || ebr == 0 {
 			continue
 		}
@@ -148,7 +148,7 @@ func TestCell3DAbsoluteNoFalsePositives(t *testing.T) {
 			continue
 		}
 		cur := rng.Intn(4)
-		eb, hasCP := cell3D(&v, cur, Absolute, false)
+		eb, hasCP := oneCell3D(v, cur, Absolute, false)
 		if hasCP {
 			t.Fatalf("trial %d: hasCP for cp-free cell", trial)
 		}
@@ -185,9 +185,9 @@ func TestCellWithCPForcesLossless(t *testing.T) {
 	if !cellHasCP2D(v2) {
 		t.Fatal("test cell should contain a cp")
 	}
-	eb, hasCP := cell2D(&v2, 0, Absolute, false)
+	eb, hasCP := oneCell2D(v2, 0, Absolute, false)
 	if !hasCP || eb != 0 {
-		t.Errorf("cell2D on cp cell: eb=%v hasCP=%v", eb, hasCP)
+		t.Errorf("one-cell kernel on cp cell: eb=%v hasCP=%v", eb, hasCP)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestCellWithCPForcesLossless(t *testing.T) {
 // create a critical point when the other vertices are identical.
 func TestUniformCellUnbounded(t *testing.T) {
 	v := [3][2]float64{{1, 0}, {1, 0}, {1, 0}}
-	eb, hasCP := cell2D(&v, 2, Absolute, false)
+	eb, hasCP := oneCell2D(v, 2, Absolute, false)
 	if hasCP {
 		t.Fatal("uniform cell misreported as containing a cp")
 	}
@@ -208,7 +208,7 @@ func TestUniformCellUnbounded(t *testing.T) {
 // perturbation could create a boundary cp, so the bound must be 0.
 func TestParallelDistinctCellLossless(t *testing.T) {
 	v := [3][2]float64{{1, 0}, {2, 0}, {3, 0}}
-	eb, hasCP := cell2D(&v, 2, Absolute, false)
+	eb, hasCP := oneCell2D(v, 2, Absolute, false)
 	if hasCP {
 		t.Fatal("parallel cell misreported as containing a cp")
 	}
@@ -249,7 +249,7 @@ func TestVertexBoundAggregatesMin(t *testing.T) {
 				cur = i
 			}
 		}
-		cellEB, _ := cell2D(&v, cur, Absolute, false)
+		cellEB, _ := oneCell2D(v, cur, Absolute, false)
 		if eb > cellEB {
 			t.Fatalf("vertex bound %v exceeds cell bound %v", eb, cellEB)
 		}
@@ -296,7 +296,7 @@ func TestLemma1ClosedForm(t *testing.T) {
 	}
 	// Find which k the implementation would consider; verify the reported
 	// bound equals one of the closed-form candidates.
-	eb, hasCP := cell2D(&v, 2, Absolute, false)
+	eb, hasCP := oneCell2D(v, 2, Absolute, false)
 	if hasCP {
 		t.Fatal("fixture misreported")
 	}
@@ -327,6 +327,6 @@ func TestLemma1ClosedForm(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("cell2D bound %v not among closed-form candidates %v", eb, candidates)
+		t.Errorf("one-cell kernel bound %v not among closed-form candidates %v", eb, candidates)
 	}
 }

@@ -15,6 +15,23 @@ import (
 // linearized, and a vertex's cells came from probing the cells of its
 // neighbouring squares or cubes.
 
+// refSignEB is signEB as it was, summing its denominator in a loop from
+// zero.
+func refSignEB(c float64, coeffs, weights *[3]float64, n int) float64 {
+	den := 0.0
+	for i := 0; i < n; i++ {
+		den += math.Abs(float64(coeffs[i] * weights[i]))
+	}
+	if den == 0 {
+		return math.Inf(1)
+	}
+	if c == 0 {
+		return 0
+	}
+	const margin = 1 - 1e-9
+	return math.Abs(c) / den * margin
+}
+
 func refCell2D(v [3][2]float64, cur int, mode Mode) (eb float64, hasCP bool) {
 	m, M := critical.Barycentric2D(v)
 	if M != 0 {
@@ -39,8 +56,8 @@ func refCell2D(v [3][2]float64, cur int, mode Mode) (eb float64, hasCP bool) {
 		}
 		cM, a0, a1 := refLinearize2D(v, cur, k)
 		e := math.Min(
-			signEB(cM[0], &a0, &weights, 2),
-			signEB(cM[1], &a1, &weights, 2),
+			refSignEB(cM[0], &a0, &weights, 2),
+			refSignEB(cM[1], &a1, &weights, 2),
 		)
 		if e > best {
 			best = e
@@ -97,8 +114,8 @@ func refCell3D(v [4][3]float64, cur int, mode Mode) (eb float64, hasCP bool) {
 		}
 		cM, a0, a1 := refLinearize3D(v, cur, k)
 		e := math.Min(
-			signEB(cM[0], &a0, &weights, 3),
-			signEB(cM[1], &a1, &weights, 3),
+			refSignEB(cM[0], &a0, &weights, 3),
+			refSignEB(cM[1], &a1, &weights, 3),
 		)
 		if e > best {
 			best = e
@@ -139,8 +156,8 @@ func refSoSCell2D(v [3][2]float64, cur int, mode Mode) float64 {
 	for k := 0; k < 3; k++ {
 		c, a0, a1 := refLinearize2D(v, cur, k)
 		e := math.Min(
-			signEB(c[0], &a0, &weights, 2),
-			signEB(c[1], &a1, &weights, 2),
+			refSignEB(c[0], &a0, &weights, 2),
+			refSignEB(c[1], &a1, &weights, 2),
 		)
 		if e < best {
 			best = e
@@ -155,8 +172,8 @@ func refSoSCell3D(v [4][3]float64, cur int, mode Mode) float64 {
 	for k := 0; k < 4; k++ {
 		c, a0, a1 := refLinearize3D(v, cur, k)
 		e := math.Min(
-			signEB(c[0], &a0, &weights, 3),
-			signEB(c[1], &a1, &weights, 3),
+			refSignEB(c[0], &a0, &weights, 3),
+			refSignEB(c[1], &a1, &weights, 3),
 		)
 		if e < best {
 			best = e

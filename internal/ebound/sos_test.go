@@ -17,7 +17,7 @@ func TestSoSCell2DPreservesSigns(t *testing.T) {
 			v[i][1] = rng.NormFloat64()
 		}
 		cur := rng.Intn(3)
-		eb, _ := cell2D(&v, cur, Absolute, true)
+		eb, _ := oneCell2D(v, cur, Absolute, true)
 		if eb == 0 || math.IsInf(eb, 1) {
 			continue
 		}
@@ -59,7 +59,7 @@ func TestSoSCell3DPreservesSigns(t *testing.T) {
 			}
 		}
 		cur := rng.Intn(4)
-		eb, _ := cell3D(&v, cur, Absolute, true)
+		eb, _ := oneCell3D(v, cur, Absolute, true)
 		if eb == 0 || math.IsInf(eb, 1) {
 			continue
 		}
@@ -96,11 +96,11 @@ func TestSoSBoundTighterThanCoupled(t *testing.T) {
 			v[i][1] = rng.NormFloat64()
 		}
 		cur := rng.Intn(3)
-		coupledEB, hasCP := cell2D(&v, cur, Absolute, false)
+		coupledEB, hasCP := oneCell2D(v, cur, Absolute, false)
 		if hasCP {
 			continue
 		}
-		sosEB, _ := cell2D(&v, cur, Absolute, true)
+		sosEB, _ := oneCell2D(v, cur, Absolute, true)
 		if sosEB > coupledEB*(1+1e-9) {
 			t.Fatalf("trial %d: SoS bound %v looser than coupled %v", trial, sosEB, coupledEB)
 		}
@@ -123,7 +123,7 @@ func TestCell3DRelativeNoFalsePositives(t *testing.T) {
 			continue
 		}
 		cur := rng.Intn(4)
-		ebr, hasCP := cell3D(&v, cur, Relative, false)
+		ebr, hasCP := oneCell3D(v, cur, Relative, false)
 		if hasCP || ebr == 0 || math.IsInf(ebr, 1) {
 			continue
 		}

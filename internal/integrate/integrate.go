@@ -8,8 +8,9 @@
 // record is a list whose set is exactly the vertices of every cell sampled.
 // A trace keeps its points (TraceSeparatrices, Streamline, Retrace) or
 // only records (RecordSeparatricesOf, for TspSZ-I, which reads nothing
-// but the involved vertices); both run the one RK4 loop, so they record
-// the same list and end the same way. Each streamline samples through its
+// but the involved vertices, and RecordRetrace, for the corrector's prefix
+// retraces); both run the one RK4 loop, so they record the same list and
+// end the same way. Each streamline samples through its
 // own field.Sampler, passing points and stage vectors as scalars so that
 // they stay in registers. Every product in this package is written
 // float64(a*b), the Go spec's barrier against fusing it into a
@@ -433,6 +434,17 @@ func RecordSeparatricesOf(f *field.Field, cps []critical.Point, loc *CPLocator, 
 // Retrace re-traces a single separatrix identified by its originating
 // trajectory (saddle and seed slot) on field f, reusing a prebuilt locator.
 func Retrace(f *field.Field, cps []critical.Point, loc *CPLocator, t *Trajectory, par Params, verts *[]int) Trajectory {
+	return retrace(f, cps, loc, t, par, verts, true)
+}
+
+// RecordRetrace is Retrace only to record: it appends to verts what
+// Retrace records and returns the same Term and EndCP, with Points nil.
+// The corrector's prefix retraces need only the involved vertices.
+func RecordRetrace(f *field.Field, cps []critical.Point, loc *CPLocator, t *Trajectory, par Params, verts *[]int) Trajectory {
+	return retrace(f, cps, loc, t, par, verts, false)
+}
+
+func retrace(f *field.Field, cps []critical.Point, loc *CPLocator, t *Trajectory, par Params, verts *[]int, keep bool) Trajectory {
 	cp := cps[t.Saddle]
 	dirIdx := t.SeedIdx / 2
 	sign := 1.0
@@ -440,7 +452,7 @@ func Retrace(f *field.Field, cps []critical.Point, loc *CPLocator, t *Trajectory
 		sign = -1
 	}
 	seed := add(cp.Pos, scale(cp.SeedDirs[dirIdx], sign*par.EpsP))
-	tr := streamline(f, seed, cp.SeedSigns[dirIdx], par, (*cpLocator)(loc), verts, true)
+	tr := streamline(f, seed, cp.SeedSigns[dirIdx], par, (*cpLocator)(loc), verts, keep)
 	tr.Saddle = t.Saddle
 	tr.SeedIdx = t.SeedIdx
 	return tr

@@ -227,8 +227,9 @@ func TestRecordedSetMatchesEveryStageRecording(t *testing.T) {
 }
 
 // A record-only trace is the point-keeping trace without its points: for
-// every separatrix of the reference cases it records the same vertex list
-// in the same order and ends with the same Term and EndCP, and
+// every separatrix of the reference cases, and for RecordRetrace against
+// Retrace over the prefixes the corrector retraces, it records the same
+// vertex list in the same order and ends with the same Term and EndCP, and
 // RecordSeparatricesOf over every saddle records what TraceSeparatrices
 // does.
 func TestRecordOnlyMatchesPointTrace(t *testing.T) {
@@ -262,6 +263,27 @@ func TestRecordOnlyMatchesPointTrace(t *testing.T) {
 			}
 			if n == 0 {
 				t.Fatal("setup: no separatrices")
+			}
+			trs := TraceSeparatrices(tc.f, cps, tc.par, nil)
+			for i := range trs {
+				for _, prefix := range []int{1, 7, 32, 256} {
+					par := tc.par
+					par.MaxSteps = prefix
+					var kept, recorded []int
+					want := Retrace(tc.f, cps, (*CPLocator)(loc), &trs[i], par, &kept)
+					got := RecordRetrace(tc.f, cps, (*CPLocator)(loc), &trs[i], par, &recorded)
+					if got.Points != nil {
+						t.Fatalf("separatrix %d, %d-step prefix: record-only retrace kept %d points", i, prefix, len(got.Points))
+					}
+					if got.Term != want.Term || got.EndCP != want.EndCP || got.Saddle != want.Saddle || got.SeedIdx != want.SeedIdx {
+						t.Fatalf("separatrix %d, %d-step prefix: record-only retrace ends %v at %d, point retrace %v at %d",
+							i, prefix, got.Term, got.EndCP, want.Term, want.EndCP)
+					}
+					if !slices.Equal(recorded, kept) {
+						t.Fatalf("separatrix %d, %d-step prefix: record-only retrace recorded %d ids, point retrace %d (or another order)",
+							i, prefix, len(recorded), len(kept))
+					}
+				}
 			}
 			var want, got []int
 			TraceSeparatrices(tc.f, cps, tc.par, &want)

@@ -6,14 +6,17 @@ package mat
 
 import "math"
 
-// Det2 returns the determinant of [[a, b], [c, d]].
-func Det2(a, b, c, d float64) float64 { return a*d - b*c }
+// Det2 returns the determinant of [[a, b], [c, d]]. Det2 and Det3 write
+// every product float64(x*y), the Go spec's barrier against fusing it
+// into a multiply-add, so the barycentric numerators built on them round
+// as ebound's derivation kernel does on every platform.
+func Det2(a, b, c, d float64) float64 { return float64(a*d) - float64(b*c) }
 
 // Det3 returns the determinant of the 3×3 matrix given in row-major order.
 func Det3(m [9]float64) float64 {
-	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
-		m[1]*(m[3]*m[8]-m[5]*m[6]) +
-		m[2]*(m[3]*m[7]-m[4]*m[6])
+	return float64(m[0]*(float64(m[4]*m[8])-float64(m[5]*m[7]))) -
+		float64(m[1]*(float64(m[3]*m[8])-float64(m[5]*m[6]))) +
+		float64(m[2]*(float64(m[3]*m[7])-float64(m[4]*m[6])))
 }
 
 // Solve2 solves the 2×2 system [[a,b],[c,d]] x = (e,f) by Cramer's rule.

@@ -43,11 +43,13 @@ const (
 	StageCPExtract Stage = iota
 	// StageTrace is separatrix tracing (original and decompressed data).
 	StageTrace
-	// StagePredictQuant is the region-parallel bound derivation,
-	// prediction, and quantization pass.
+	// StagePredictQuant is the layer sweep: per-vertex bound derivation
+	// (ebound), prediction and quantization, region- and wave-parallel,
+	// and the serial emit that observes each region's symbols into the
+	// section histograms.
 	StagePredictQuant
-	// StageHistogram is the parallel symbol-histogram reduction feeding
-	// the shared canonical Huffman codebook.
+	// StageHistogram builds a section's canonical Huffman table from its
+	// finished histogram (huffman.TableFromHistogram), once per section.
 	StageHistogram
 	// StageEntropyEncode is chunked Huffman+DEFLATE serialization.
 	StageEntropyEncode
