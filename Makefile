@@ -31,10 +31,11 @@ lint:
 # amd64 ones. Writing each product as float64(x*y), the Go spec's fusion
 # barrier, prevents it. Cross-compile the tracer's packages, the quantizer
 # (Quantize and Reconstruct, which decode runs), core (dist picks
-# fixTraj's divergence point) and ebound (the bound derivation kernel) for
-# those architectures and fail on any fused multiply-add or -subtract in
-# their assembly, or when none of them printed assembly.
-FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate ./internal/quantizer ./internal/core ./internal/ebound
+# fixTraj's divergence point), ebound (the bound derivation kernel) and
+# frechet (sqDist decides TspSZ-i's separatrix verdicts) for those
+# architectures and fail on any fused multiply-add or -subtract in their
+# assembly, or when none of them printed assembly.
+FMA_PKGS = ./internal/grid ./internal/field/... ./internal/integrate ./internal/quantizer ./internal/core ./internal/ebound ./internal/frechet
 FMA_ARCHS = arm64 ppc64le s390x riscv64
 fma-check:
 	@for arch in $(FMA_ARCHS); do \
@@ -54,8 +55,10 @@ race:
 # 10-second native-fuzzing smoke per decoder entry point, plus the
 # differential targets holding frechet.WithinTol to the full reachability DP,
 # ebound.VertexBound/VertexBoundSoS to the pre-linearization derivation,
-# the tracer's narrowed absorption probe to a scan of every bucket, the
-# cell-caching field.Sampler to point location from scratch, and the
+# the tracer's narrowed absorption probe to a scan of every bucket, its
+# clearance to the exact distance and its skipped probes along point walks
+# to the same scan, the cell-caching field.Sampler to point location from
+# scratch, and the
 # cpSZ compression engine to the whole-field reference encoder.
 # Crashing inputs land in <pkg>/testdata/fuzz/<Target>/ — CI uploads them
 # as artifacts.
@@ -63,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWithinTol$$' -fuzztime=10s -run='^$$' ./internal/frechet
 	$(GO) test -fuzz='^FuzzVertexBound$$' -fuzztime=10s -run='^$$' ./internal/ebound
 	$(GO) test -fuzz='^FuzzNear$$' -fuzztime=10s -run='^$$' ./internal/integrate
+	$(GO) test -fuzz='^FuzzClearance$$' -fuzztime=10s -run='^$$' ./internal/integrate
 	$(GO) test -fuzz='^FuzzSample$$' -fuzztime=10s -run='^$$' ./internal/field
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/huffman
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/flatedec

@@ -171,6 +171,31 @@ func TestCompressRejectsNegativeTau(t *testing.T) {
 	}
 }
 
+// TestCompressRejectsUntraceableParams: RK4 parameters that would trace no
+// separatrix (-epsp NaN, -h 0) must fail the compress command with exit
+// code 1 before any output is written.
+func TestCompressRejectsUntraceableParams(t *testing.T) {
+	dir := t.TempDir()
+	fieldPath := filepath.Join(dir, "f.tspf")
+	if code := realMain([]string{"gen", "-dataset", "cba", "-scale", "0.1", "-out", fieldPath}); code != 0 {
+		t.Fatalf("gen exited %d", code)
+	}
+	outPath := filepath.Join(dir, "f.tsz")
+	for _, bad := range [][]string{{"-epsp", "NaN"}, {"-h", "0"}} {
+		args := append([]string{"compress", "-in", fieldPath, "-out", outPath, "-variant", "1"}, bad...)
+		if code := realMain(args); code != 1 {
+			t.Fatalf("compress %v exited %d, want 1", bad, code)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("compress %v left files behind: %v", bad, entries)
+		}
+	}
+}
+
 // TestCompressStreamCLI drives compress -stream end to end: a 3D field
 // streams off disk into a valid archive, the unsupported shapes exit with
 // the header code, and no command leaves temp debris in the output

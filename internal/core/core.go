@@ -18,7 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"tspsz/internal/bitmap"
@@ -59,7 +59,9 @@ type Options struct {
 	Mode ebound.Mode
 	// ErrBound is the user bound ε (Table II).
 	ErrBound float64
-	// Params are the RK4 parameters θ = {ε_p, t, h} (Table II).
+	// Params are the RK4 parameters θ = {ε_p, t, h} (Table II). The zero
+	// value selects integrate.DefaultParams; otherwise EpsP must be finite
+	// and ≥ 0, H finite and > 0, and MaxSteps ≥ 1, or compression fails.
 	Params integrate.Params
 	// Tau is the Fréchet tolerance τ_t for TspSZ-i (Table II default √2).
 	// 0 selects the default and +Inf accepts any separatrix that ends
@@ -94,6 +96,22 @@ func (o *Options) withDefaults() Options {
 		opts.MaxIterations = 64
 	}
 	return opts
+}
+
+// checkTrace rejects RK4 parameters that trace no separatrix, which would
+// leave the skeleton guarantee void without an error: an ε_p that is NaN,
+// negative or infinite, an h that is NaN, infinite or not positive, and a
+// step budget below 1.
+func checkTrace(p integrate.Params) error {
+	switch {
+	case !(p.EpsP >= 0) || math.IsInf(p.EpsP, 1):
+		return fmt.Errorf("absorption threshold EpsP (ε_p) must be finite and non-negative, got %v", p.EpsP)
+	case !(p.H > 0) || math.IsInf(p.H, 1):
+		return fmt.Errorf("RK4 step size H must be finite and positive, got %v", p.H)
+	case p.MaxSteps < 1:
+		return fmt.Errorf("RK4 step budget MaxSteps must be at least 1, got %d", p.MaxSteps)
+	}
+	return nil
 }
 
 // Stats reports what compression did, for the evaluation harness.
@@ -145,6 +163,9 @@ func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, 
 	}
 	if !(o.Tau > 0) {
 		return nil, fmt.Errorf("core: Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
+	}
+	if err := checkTrace(o.Params); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	var res *Result
 	if o.Variant == TspSZ1 {
@@ -585,15 +606,8 @@ func dedupe(verts []int) []int32 {
 	for i, v := range verts {
 		out[i] = int32(v)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // touchesAny reports whether any vertex in the sorted set appears in the

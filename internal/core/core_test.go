@@ -261,6 +261,63 @@ func TestTauValidated(t *testing.T) {
 	}
 }
 
+// TestTraceParamsValidated runs RK4 parameters that would trace no
+// separatrix through every entry point that traces, for both variants: each
+// must fail, naming the parameter, before any stage runs or any byte is
+// written. The zero Params still selects the defaults, and ε_p = 0 with a
+// one-step budget stays valid.
+func TestTraceParamsValidated(t *testing.T) {
+	f := gyre2D(24, 20)
+	frames := []*field.Field{f, f}
+	fetch := field.FrameFetcherFunc(func(i int) (*field.Field, error) { return frames[i], nil })
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []Variant{TspSZ1, TspSZi} {
+		for _, tc := range []struct {
+			par  integrate.Params
+			name string
+		}{
+			{integrate.Params{EpsP: nan, MaxSteps: 300, H: 0.05}, "EpsP"},
+			{integrate.Params{EpsP: -1e-2, MaxSteps: 300, H: 0.05}, "EpsP"},
+			{integrate.Params{EpsP: inf, MaxSteps: 300, H: 0.05}, "EpsP"},
+			{integrate.Params{EpsP: -inf, MaxSteps: 300, H: 0.05}, "EpsP"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: 300, H: nan}, "H"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: 300, H: 0}, "H"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: 300, H: -0.05}, "H"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: 300, H: inf}, "H"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: 0, H: 0.05}, "MaxSteps"},
+			{integrate.Params{EpsP: 1e-2, MaxSteps: -5, H: 0.05}, "MaxSteps"},
+		} {
+			opts := Options{Variant: v, Mode: ebound.Absolute, ErrBound: 0.05, Params: tc.par, Workers: 1, Collector: obs.New()}
+			_, err := Compress(f, opts)
+			_, seqErr := CompressSequence(frames, opts)
+			var buf bytes.Buffer
+			_, streamErr := CompressSequenceStream(nil, &buf, len(frames), fetch, opts)
+			for entry, err := range map[string]error{"Compress": err, "CompressSequence": seqErr, "CompressSequenceStream": streamErr} {
+				if err == nil || !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("%v %s accepted %+v or did not name %s: %v", v, entry, tc.par, tc.name, err)
+				}
+			}
+			if n := len(opts.Collector.Snapshot().Spans); n != 0 || buf.Len() != 0 {
+				t.Errorf("%v %+v: rejected after %d stages and %d bytes written", v, tc.par, n, buf.Len())
+			}
+		}
+		opts := Options{Variant: v, Mode: ebound.Absolute, ErrBound: 0.05, Workers: 1}
+		res, err := Compress(f, opts)
+		if err != nil {
+			t.Fatalf("%v: zero Params rejected: %v", v, err)
+		}
+		opts.Params = integrate.DefaultParams()
+		def, err := Compress(f, opts)
+		if err != nil || !bytes.Equal(res.Bytes, def.Bytes) {
+			t.Errorf("%v: zero Params do not select the defaults (%v)", v, err)
+		}
+		opts.Params = integrate.Params{EpsP: 0, MaxSteps: 1, H: 0.05}
+		if _, err := Compress(f, opts); err != nil {
+			t.Errorf("%v: ε_p = 0 with one step rejected: %v", v, err)
+		}
+	}
+}
+
 func TestDecompressRejectsCorruption(t *testing.T) {
 	f := gyre2D(20, 20)
 	res, err := Compress(f, Options{Variant: TspSZ1, Mode: ebound.Absolute, ErrBound: 0.05, Params: testParams()})

@@ -91,6 +91,9 @@ func CompressSequenceStream(ctx context.Context, w io.Writer, count int, fetch f
 	if !(o.Tau > 0) {
 		return nil, streamerr.Header("sequence", "Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
 	}
+	if err := checkTrace(o.Params); err != nil {
+		return nil, streamerr.Header("sequence", "%v", err)
+	}
 	c := o.Collector
 
 	cw := &countWriter{w: w}

@@ -9,11 +9,15 @@ import "math"
 // to zero.
 type Point = [3]float64
 
+// sqDist is the squared distance between a and b. Each product is written
+// float64(x*x), the Go spec's barrier against fusing it into the sum, so
+// TspSZ-i's Fréchet verdicts round the same on every platform (make
+// fma-check holds it).
 func sqDist(a, b Point) float64 {
 	dx := a[0] - b[0]
 	dy := a[1] - b[1]
 	dz := a[2] - b[2]
-	return dx*dx + dy*dy + dz*dz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // Distance returns the discrete Fréchet distance between curves p and q

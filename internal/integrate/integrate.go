@@ -10,10 +10,13 @@
 // only records (RecordSeparatricesOf, for TspSZ-I, which reads nothing
 // but the involved vertices, and RecordRetrace, for the corrector's prefix
 // retraces); both run the one RK4 loop, so they record the same list and
-// end the same way. Each streamline samples through its
-// own field.Sampler, passing points and stage vectors as scalars so that
-// they stay in registers. Every product in this package is written
-// float64(a*b), the Go spec's barrier against fusing it into a
+// end the same way. Each streamline samples through its own
+// field.Sampler, passing points and stage vectors as scalars so that they
+// stay in registers. It probes for absorption by a sink or source only
+// when it could be within ε_p of one: it spends a slack, its clearance from
+// every target less ε_p, on the L1 length of its steps, so that a probe it
+// skips would have missed (absorber). Every product in this package is
+// written float64(a*b), the Go spec's barrier against fusing it into a
 // multiply-add, so traces round the same on every platform (make
 // fma-check holds it).
 package integrate
@@ -30,12 +33,14 @@ import (
 // Params are the user-facing integration parameters of Table II.
 type Params struct {
 	// EpsP is the absorption threshold: a streamline terminates when it
-	// comes within EpsP of a sink or source, for any EpsP ≥ 0. The same
-	// value scales the seed offset from a saddle.
+	// comes within EpsP of a sink or source, for any finite EpsP ≥ 0 (the
+	// tracer takes a negative one as |EpsP|; core.Compress rejects it). The
+	// same value scales the seed offset from a saddle.
 	EpsP float64
-	// MaxSteps bounds the number of RK4 steps (t in the paper).
+	// MaxSteps bounds the number of RK4 steps (t in the paper); it must be
+	// at least 1 for a trace to take a step.
 	MaxSteps int
-	// H is the RK4 step size.
+	// H is the RK4 step size, finite and > 0.
 	H float64
 	// DetectOrbits enables closed-orbit detection: trajectories that
 	// return within OrbitEps of a position visited at least OrbitMinSep
@@ -177,40 +182,50 @@ func newCPLocator(cps []critical.Point) *cpLocator {
 	return l
 }
 
-// near returns the index of a sink/source within eps of p, or -1. It scans,
-// in z-y-x order, only the buckets that the ball's bounding box
+// near returns the index of a sink/source within eps of (x, y, z), or -1.
+// It scans, in z-y-x order, only the buckets that the ball's bounding box
 // [⌊p−eps⌋, ⌊p+eps⌋] overlaps, clamped to the bucket grid (see span), so
 // for any eps it returns the first hit of a scan over every bucket. A
-// point with a NaN or infinite coordinate is never absorbed.
-func (l *cpLocator) near(p [3]float64, eps float64) int {
-	if !l.hasTargets {
+// point with a NaN or infinite coordinate is never absorbed. A streamline
+// runs it only where its slack cannot prove a miss (see absorber).
+func (l *cpLocator) near(x, y, z, eps float64) int {
+	if !l.hasTargets || !finite(x, y, z) {
 		return -1
 	}
 	e2 := eps * eps
-	var lo, hi [3]int
-	for d := 0; d < 3; d++ {
-		if math.IsNaN(p[d]) || math.IsInf(p[d], 0) {
-			return -1
-		}
-		lo[d], hi[d] = l.span(d, p[d], e2)
-	}
-	for z := lo[2]; z <= hi[2]; z++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			for x := lo[0]; x <= hi[0]; x++ {
-				b := x + l.dim[0]*(y+l.dim[1]*z)
-				for _, ei := range l.entries[l.start[b]:l.start[b+1]] {
-					cp := &l.cps[ei]
-					ddx := cp.Pos[0] - p[0]
-					ddy := cp.Pos[1] - p[1]
-					ddz := cp.Pos[2] - p[2]
-					if float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz) <= e2 {
-						return int(ei)
-					}
+	x0, x1 := l.span(0, x, e2)
+	y0, y1 := l.span(1, y, e2)
+	z0, z1 := l.span(2, z, e2)
+	for bz := z0; bz <= z1; bz++ {
+		for by := y0; by <= y1; by++ {
+			// The buckets of one row are adjacent in the CSR layout.
+			row := l.dim[0] * (by + l.dim[1]*bz)
+			for _, ei := range l.entries[l.start[row+x0]:l.start[row+x1+1]] {
+				cp := &l.cps[ei]
+				ddx := cp.Pos[0] - x
+				ddy := cp.Pos[1] - y
+				ddz := cp.Pos[2] - z
+				if float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz) <= e2 {
+					return int(ei)
 				}
 			}
 		}
 	}
 	return -1
+}
+
+func finite(x, y, z float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0) &&
+		!math.IsNaN(z) && !math.IsInf(z, 0)
+}
+
+// bucket returns the bucket of coordinate x along axis d, clamped to
+// [-1, dim[d]], so that a point beyond the grid starts next to it; clamping
+// before the conversion keeps it defined. x must not be NaN. An unclamped
+// bucket c holds x in [lo[d]+c, lo[d]+c+1); a point clamped to -1 lies
+// below lo[d], one clamped to dim[d] at or above lo[d]+dim[d].
+func (l *cpLocator) bucket(d int, x float64) int {
+	return int(min(max(math.Floor(x)-float64(l.lo[d]), -1), float64(l.dim[d])))
 }
 
 // span returns the range of buckets along axis d, clamped to the bucket
@@ -223,9 +238,7 @@ func (l *cpLocator) near(p [3]float64, eps float64) int {
 func (l *cpLocator) span(d int, x, e2 float64) (lo, hi int) {
 	n := l.dim[d]
 	base := float64(l.lo[d])
-	// Clamping to [-1, n] before the conversion keeps it defined and
-	// makes a point beyond the grid start next to it.
-	c := int(min(max(math.Floor(x)-base, -1), float64(n)))
+	c := l.bucket(d, x)
 	lo, hi = c, c
 	for lo > 0 {
 		f := base + float64(lo) - x // the face below bucket lo
@@ -242,6 +255,98 @@ func (l *cpLocator) span(d int, x, e2 float64) (lo, hi int) {
 		hi++
 	}
 	return max(lo, 0), min(hi, n-1)
+}
+
+// The absorption margins (DESIGN.md §3). probeMargin is relative and far
+// above the roundings it covers: those of the clearance, of the slack, of
+// near's squared-distance test, and of an absorber's running sum over the
+// at most about 1e12 steps that can add up to a slack. probeFloor is
+// absolute and covers squared distances that underflow, below about 1e-300.
+const (
+	probeMargin = 0x1p-10
+	probeFloor  = 0x1p-500
+)
+
+// clearance returns a lower bound, at most 1, on the distance from
+// (x, y, z) to every sink and source. Targets in the 3×3×3 buckets around
+// the bucket of the point, clamped to the grid (see block), count with
+// their distances. Every other target lies beyond a face of that block
+// that is inside the grid, and each such face is at least 1 from the point
+// along its axis, for a point outside the grid too (see bucket), so 1
+// bounds them. A point with a NaN or infinite coordinate gets 0.
+func (l *cpLocator) clearance(x, y, z float64) float64 {
+	if !finite(x, y, z) {
+		return 0
+	}
+	d2 := 1.0
+	if l.hasTargets {
+		x0, x1 := l.block(0, x)
+		y0, y1 := l.block(1, y)
+		z0, z1 := l.block(2, z)
+		for bz := z0; bz <= z1; bz++ {
+			for by := y0; by <= y1; by++ {
+				row := l.dim[0] * (by + l.dim[1]*bz)
+				for _, ei := range l.entries[l.start[row+x0]:l.start[row+x1+1]] {
+					cp := &l.cps[ei]
+					ddx := cp.Pos[0] - x
+					ddy := cp.Pos[1] - y
+					ddz := cp.Pos[2] - z
+					d2 = min(d2, float64(ddx*ddx)+float64(ddy*ddy)+float64(ddz*ddz))
+				}
+			}
+		}
+	}
+	return float64(math.Sqrt(d2)*(1-probeMargin)) - probeFloor
+}
+
+// block returns the buckets along axis d of the three around the bucket
+// of x, clamped to the bucket grid.
+func (l *cpLocator) block(d int, x float64) (lo, hi int) {
+	c := l.bucket(d, x)
+	return max(c-1, 0), min(c+1, l.dim[d]-1)
+}
+
+// absorber is the absorption probe of one streamline. It sums the L1
+// displacements of the steps since its last refresh and runs near only
+// once that sum reaches the slack the refresh set: how far the streamline
+// may move before near could hit at radius r = |eps|, the clearance less
+// r, both with margins. near tests against r² = eps², bit for bit. A skipped probe would
+// have returned -1: by the triangle inequality and ‖·‖₂ ≤ ‖·‖₁ the point is
+// still farther than r from every target, and the margins cover the
+// roundings (DESIGN.md §3). The slack is below 1; for r ≥ 1, a NaN eps or
+// a non-finite point it is not positive, and every step probes. A new
+// absorber probes at its first step.
+type absorber struct {
+	loc             *cpLocator
+	r, moved, slack float64
+}
+
+func newAbsorber(loc *cpLocator, eps float64) absorber {
+	return absorber{loc: loc, r: math.Abs(eps)}
+}
+
+// advance adds a step of (dx, dy, dz) to the sum and reports whether the
+// sum reached the slack, so that the point the step reached must be
+// refreshed. The caller must end the trace after any step shorter than
+// 1e-12: that floor bounds how many steps one sum adds up before it reaches
+// a slack, which is below 1, and so bounds the sum's rounding.
+func (a *absorber) advance(dx, dy, dz float64) bool {
+	a.moved += math.Abs(dx) + math.Abs(dy) + math.Abs(dz)
+	return !(a.moved < a.slack)
+}
+
+// refresh sets a new slack at (x, y, z) and returns the target that absorbs
+// the streamline there, or -1; it runs near unless the new slack already
+// proves a miss.
+func (a *absorber) refresh(x, y, z float64) int {
+	a.moved, a.slack = 0, 0
+	if a.r < 1 { // a capped clearance never exceeds a larger radius
+		a.slack = float64((a.loc.clearance(x, y, z) - float64(a.r*(1+probeMargin)) - probeFloor) * (1 - probeMargin))
+		if a.slack > 0 {
+			return -1
+		}
+	}
+	return a.loc.near(x, y, z, a.r)
 }
 
 // recorder appends the vertex ids of the cells a streamline samples to out
@@ -311,8 +416,10 @@ func scale(a [3]float64, s float64) [3]float64 {
 // Streamline traces a streamline from seed in direction dir (+1 forward,
 // -1 backward) until absorption, domain exit, vanishing velocity, or the
 // step budget. loc provides the absorption targets (the sinks/sources of
-// its critical points). When verts is non-nil, the vertex ids of each cell
-// an RK4 stage samples are appended to it once per cell entered.
+// its critical points); the trace ends at the first step that comes within
+// |par.EpsP| of one, whether or not it ran the exact probe there. When
+// verts is non-nil, the vertex ids of each cell an RK4 stage samples are
+// appended to it once per cell entered.
 func Streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLocator, verts *[]int) Trajectory {
 	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts, true)
 }
@@ -328,7 +435,8 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 	rec := recorder{g: f.Grid, out: verts, last: -1}
 	smp := field.NewSampler(f)
 	px, py, pz := seed[0], seed[1], seed[2]
-	const vEps = 1e-12
+	abs := newAbsorber(loc, par.EpsP)
+	const vEps = 1e-12 // absorber.advance's bound rests on this floor
 	var orbits *orbitDetector
 	if par.DetectOrbits {
 		eps := par.OrbitEps
@@ -352,14 +460,16 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		if keep {
 			tr.Points = append(tr.Points, np)
 		}
-		if cp := loc.near(np, par.EpsP); cp >= 0 {
-			tr.Term = AbsorbedAtCP
-			tr.EndCP = cp
-			return tr
-		}
 		dx := nx - px
 		dy := ny - py
 		dz := nz - pz
+		if abs.advance(dx, dy, dz) {
+			if cp := abs.refresh(nx, ny, nz); cp >= 0 {
+				tr.Term = AbsorbedAtCP
+				tr.EndCP = cp
+				return tr
+			}
+		}
 		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < vEps*vEps {
 			tr.Term = ZeroVelocity
 			return tr

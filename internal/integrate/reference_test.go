@@ -1,6 +1,7 @@
 package integrate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -153,7 +154,11 @@ type traceCase struct {
 
 // separatrixCases are the fields whose separatrices the tracer is held to
 // the reference on: a 2D gyre, ocean and hurricane, and an 8³ Nek5000
-// window.
+// window, at ε_p = 1e-2; and, at ε_p = 0, −1e-2, 1 and 1.8, a slow spiral
+// sink that absorbs a separatrix after hundreds of steps and a source that
+// a separatrix passes as near as it can without being absorbed (see
+// grazedSource). At ε_p = 0 every seed sits on its saddle; at |ε_p| ≥ 1
+// the tracer probes at every step.
 func separatrixCases(t *testing.T) []traceCase {
 	ocean, err := datagen.ByName("ocean", 0.03)
 	if err != nil {
@@ -163,12 +168,120 @@ func separatrixCases(t *testing.T) []traceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []traceCase{
+	cases := []traceCase{
 		{"gyre", cellularFlow(48, 40), Params{EpsP: 1e-2, MaxSteps: 1000, H: 0.05}},
 		{"ocean", ocean, Params{EpsP: 1e-2, MaxSteps: 1000, H: 2.5e-2}},
 		{"hurricane", hurricane, Params{EpsP: 1e-2, MaxSteps: 1000, H: 5e-2}},
 		{"nek5000-window", nekWindow(8), Params{EpsP: 1e-2, MaxSteps: 400, H: 2.5e-2}},
 	}
+	for _, eps := range []float64{0, -1e-2, 1, 1.8} {
+		par := Params{EpsP: eps, MaxSteps: 1000, H: 0.05}
+		cases = append(cases,
+			traceCase{fmt.Sprintf("spiral-sink/eps=%v", eps), spiralSink(), par},
+			traceCase{fmt.Sprintf("grazed-source/eps=%v", eps), grazedSource(t, par), par})
+	}
+	return cases
+}
+
+// spiralSink is a 2D field with a saddle near (6.3, 10.4) whose unstable
+// separatrix runs right into a sink near (16.35, 10.4) that it circles
+// slowly, for about 660 steps at ε_p = 1e-2 and h = 0.05.
+func spiralSink() *field.Field {
+	const xs, xk, yc = 6.3, 16.35, 10.4
+	f := field.New2D(24, 20)
+	fill2D(f, func(x, y float64) (float64, float64) {
+		w := (x - xs) / 10
+		w *= w
+		return -0.05*(x-xs)*(x-xk) - w*(y-yc), -0.1*(y-yc) + w*(x-xk)
+	})
+	return f
+}
+
+// sourceField is a saddle at (6.3, 8.4) whose stable separatrix, traced
+// backward, runs up the line x = 6.3 past a source at (6.3+off, 14.45).
+func sourceField(off float64) *field.Field {
+	const sx, sy, cy = 6.3, 8.4, 14.45
+	cx := sx + off
+	f := field.New2D(16, 20)
+	fill2D(f, func(x, y float64) (float64, float64) {
+		phi := math.Exp(-((x-cx)*(x-cx) + (y-cy)*(y-cy)))
+		return 0.5*(x-sx)*(1-phi) + 5*(x-cx)*phi, -0.5*(y-sy)*(1-phi) + 5*(y-cy)*phi
+	})
+	return f
+}
+
+// grazedSource returns the sourceField whose saddle's separatrix passes
+// the source as near as the reference tracer can without being absorbed: it
+// bisects the source's offset between one that absorbs a separatrix and one
+// that does not. For |ε_p| ≥ 1 the ε_p-ball is wider than the stagnation
+// saddle beside the source, so the separatrix passes within one step of
+// |ε_p|. A smaller ball lies inside the source's backward basin, whose edge
+// runs through that saddle: there the separatrix passes the source no
+// nearer than the saddle, about 0.19 away. At ε_p = 0 no separatrix leaves
+// its saddle, and it returns the field at offset 2.
+func grazedSource(t *testing.T, par Params) *field.Field {
+	if par.EpsP == 0 {
+		return sourceField(2)
+	}
+	r := math.Abs(par.EpsP)
+	// pass traces the separatrices of the saddle at (6.3, 8.4) and reports
+	// whether one is absorbed by a source, and the least gap, beyond r,
+	// between a source and a point no more than one step past r from it.
+	pass := func(off float64) (absorbed bool, gap float64, withinStep bool) {
+		f := sourceField(off)
+		cps := critical.Extract(f)
+		loc := newCPLocator(cps)
+		gap = math.Inf(1)
+		for _, cp := range cps {
+			if cp.Type != critical.Saddle || math.Hypot(cp.Pos[0]-6.3, cp.Pos[1]-8.4) > 0.5 {
+				continue // the saddle beside the source is not the one bisected on
+			}
+			seeds, dirs, _ := SeparatrixSeeds(cp, par.EpsP)
+			for si := range seeds {
+				var verts []int
+				tr := refTrace(f, seeds[si], dirs[si], par, loc, &verts)
+				if tr.Term == AbsorbedAtCP && cps[tr.EndCP].Type == critical.Source {
+					absorbed = true
+					continue
+				}
+				for i := 1; i < len(tr.Points); i++ {
+					p, q := tr.Points[i], tr.Points[i-1]
+					for _, c := range cps {
+						if c.Type != critical.Source {
+							continue
+						}
+						g := math.Hypot(p[0]-c.Pos[0], p[1]-c.Pos[1]) - r
+						gap = min(gap, g)
+						if g > 0 && g <= math.Hypot(p[0]-q[0], p[1]-q[1]) {
+							withinStep = true
+						}
+					}
+				}
+			}
+		}
+		return absorbed, gap, withinStep
+	}
+	lo, hi := 0.0, 4.0
+	if a, _, _ := pass(lo); !a {
+		t.Fatalf("setup: eps %v: no separatrix absorbed at offset %v", par.EpsP, lo)
+	}
+	if a, _, _ := pass(hi); a {
+		t.Fatalf("setup: eps %v: a separatrix absorbed at offset %v", par.EpsP, hi)
+	}
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if a, _, _ := pass(mid); a {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	_, gap, withinStep := pass(hi)
+	if r >= 1 && !withinStep || r < 1 && !(gap < 0.25) {
+		t.Fatalf("setup: eps %v, offset %v: separatrices pass the source %v beyond eps (within a step: %v)",
+			par.EpsP, hi, gap, withinStep)
+	}
+	return sourceField(hi)
 }
 
 // Recording each cell once per entry keeps the set of every-stage
@@ -477,7 +590,7 @@ func TestNearMatchesFullScan(t *testing.T) {
 		for _, eps := range nearEps {
 			hits := 0
 			for _, p := range nearProbes(rng, l, eps) {
-				got, want := l.near(p, eps), refNear(l, p, eps)
+				got, want := l.near(p[0], p[1], p[2], eps), refNear(l, p, eps)
 				if got != want {
 					t.Fatalf("%s: near(%v, %v) = %d, want %d", name, p, eps, got, want)
 				}
@@ -496,10 +609,10 @@ func TestNearMatchesFullScan(t *testing.T) {
 // neighbourhood missed a sink 1.7 away at EpsP = 1.8.
 func TestNearBeyondUnitEps(t *testing.T) {
 	l := newCPLocator([]critical.Point{{Type: critical.Sink, Pos: [3]float64{5.5, 5.5, 0}}})
-	if got := l.near([3]float64{7.2, 5.5, 0}, 1.8); got != 0 {
+	if got := l.near(7.2, 5.5, 0, 1.8); got != 0 {
 		t.Fatalf("near = %d, want the sink 1.7 away (0)", got)
 	}
-	if got := l.near([3]float64{7.2, 5.5, 0}, 1.6); got != -1 {
+	if got := l.near(7.2, 5.5, 0, 1.6); got != -1 {
 		t.Fatalf("near = %d, want -1 for eps below the distance", got)
 	}
 }
@@ -525,7 +638,7 @@ func FuzzNear(f *testing.F) {
 		}
 		l := newCPLocator(cps)
 		p := [3]float64{px, py, pz}
-		if got, want := l.near(p, eps), refNear(l, p, eps); got != want {
+		if got, want := l.near(p[0], p[1], p[2], eps), refNear(l, p, eps); got != want {
 			t.Fatalf("near(%v, %v) = %d, want %d", p, eps, got, want)
 		}
 	})
