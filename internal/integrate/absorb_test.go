@@ -179,6 +179,34 @@ func clearanceProbes(rng *rand.Rand, l *cpLocator) [][3]float64 {
 	return ps
 }
 
+// bucket is the floor of x less lo, clamped to [-1, dim], for every
+// non-NaN x: integers and the floats beside them, in and around the bucket
+// grid, ±0, the extremes of float64 and of int, and ±Inf.
+func TestBucketMatchesFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, box := range [][2]int{{0, 1}, {0, 8}, {-5, 3}, {-7, 12}, {4, 2}, {-1, 1}} {
+		l := &cpLocator{lo: [3]int{box[0]}, dim: [3]int{box[1]}}
+		want := func(x float64) int {
+			return int(min(max(math.Floor(x)-float64(box[0]), -1), float64(box[1])))
+		}
+		var xs []float64
+		for c := box[0] - 3; c <= box[0]+box[1]+3; c++ {
+			x := float64(c)
+			xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)),
+				x+0.5, x-0.5, x+rng.Float64())
+		}
+		for _, x := range []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 0x1p52 + 0.5, -0x1p52 - 0.5,
+			0x1p63, -0x1p63, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)} {
+			xs = append(xs, x)
+		}
+		for _, x := range xs {
+			if got, want := l.bucket(0, x), want(x); got != want {
+				t.Fatalf("lo %d, dim %d: bucket(%v) = %d, want %d", box[0], box[1], x, got, want)
+			}
+		}
+	}
+}
+
 // clearance is a lower bound on the distance to every sink and source, and
 // no looser than its margins where a target is nearer than 1.
 func TestClearanceIsLowerBound(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tspsz/internal/critical"
+	"tspsz/internal/datagen"
 	"tspsz/internal/experiments"
 	"tspsz/internal/integrate"
 )
@@ -47,4 +48,57 @@ func BenchmarkTraceWindow3D(b *testing.B) {
 			integrate.RecordSeparatricesOf(f, cps, loc, ci, cfg.Params, &verts)
 		}
 	})
+}
+
+// BenchmarkTraceEveryStep traces streamlines whose slack covers about one
+// step, so that nearly every step refreshes it and the refresh, not the
+// per-step sum, is the absorption cost: one forward streamline from every
+// fourth vertex of the cba field at its table parameters (h = 1, so a step
+// is about as long as any slack), and of a small ocean field at the
+// segmentation experiment's basin parameters (ε_p = 0.9, so every slack is
+// below 0.1). ns/step as in BenchmarkTraceWindow3D.
+func BenchmarkTraceEveryStep(b *testing.B) {
+	cba, err := experiments.Config("cba", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	basins := integrate.Params{EpsP: 0.9, MaxSteps: 1500, H: 0.1}
+	for _, c := range []struct {
+		name    string
+		dataset string
+		scale   float64
+		par     integrate.Params
+	}{
+		{"cba-h1", "cba", 1, cba.Params},
+		{"ocean-basins", "ocean", 0.03, basins},
+	} {
+		f, err := datagen.ByName(c.dataset, c.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loc := integrate.NewCPLocator(critical.Extract(f))
+		nx, ny, nz := f.Grid.Dims()
+		var seeds [][3]float64
+		for k := 0; k < nz; k += 4 {
+			for j := 0; j < ny; j += 4 {
+				for i := 0; i < nx; i += 4 {
+					seeds = append(seeds, f.Grid.VertexPosition(f.Grid.VertexIndex(i, j, k)))
+				}
+			}
+		}
+		steps := 0
+		for _, s := range seeds {
+			steps += len(integrate.Streamline(f, s, 1, c.par, loc, nil).Points) - 1
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range seeds {
+					integrate.Streamline(f, s, 1, c.par, loc, nil)
+				}
+			}
+			if steps > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+			}
+		})
+	}
 }

@@ -220,12 +220,27 @@ func finite(x, y, z float64) bool {
 }
 
 // bucket returns the bucket of coordinate x along axis d, clamped to
-// [-1, dim[d]], so that a point beyond the grid starts next to it; clamping
-// before the conversion keeps it defined. x must not be NaN. An unclamped
-// bucket c holds x in [lo[d]+c, lo[d]+c+1); a point clamped to -1 lies
-// below lo[d], one clamped to dim[d] at or above lo[d]+dim[d].
+// [-1, dim[d]], so that a point beyond the grid starts next to it. x must
+// not be NaN. An unclamped bucket c holds x in [lo[d]+c, lo[d]+c+1); a point
+// clamped to -1 lies below lo[d], one clamped to dim[d] at or above
+// lo[d]+dim[d]. Both bounds are integers, so the comparisons are exact, and
+// x is converted only between them, where the conversion is defined; it
+// truncates toward zero, one above the floor of a negative non-integer. The
+// probe runs this at every refresh, where math.Floor and a float clamp cost
+// more than the block scan.
 func (l *cpLocator) bucket(d int, x float64) int {
-	return int(min(max(math.Floor(x)-float64(l.lo[d]), -1), float64(l.dim[d])))
+	lo := l.lo[d]
+	if x < float64(lo) {
+		return -1
+	}
+	if x >= float64(lo+l.dim[d]) {
+		return l.dim[d]
+	}
+	c := int(x)
+	if float64(c) > x {
+		c--
+	}
+	return c - lo
 }
 
 // span returns the range of buckets along axis d, clamped to the bucket

@@ -210,78 +210,71 @@ func sourceField(off float64) *field.Field {
 	return f
 }
 
-// grazedSource returns the sourceField whose saddle's separatrix passes
-// the source as near as the reference tracer can without being absorbed: it
-// bisects the source's offset between one that absorbs a separatrix and one
-// that does not. For |ε_p| ≥ 1 the ε_p-ball is wider than the stagnation
-// saddle beside the source, so the separatrix passes within one step of
-// |ε_p|. A smaller ball lies inside the source's backward basin, whose edge
-// runs through that saddle: there the separatrix passes the source no
-// nearer than the saddle, about 0.19 away. At ε_p = 0 no separatrix leaves
-// its saddle, and it returns the field at offset 2.
+// grazedOffset holds, for each nonzero ε_p of separatrixCases, the source
+// offset at which the saddle's separatrices pass the source as near as the
+// reference tracer lets them without being absorbed: the least offset,
+// bisected to the last bit between 0 (absorbed) and 4 (not), at which refTrace
+// absorbs none of them.
+var grazedOffset = map[float64]float64{
+	-1e-2: 1.5105402075523775,
+	1:     1.722316856625799,
+	1.8:   2.106271117747852,
+}
+
+// grazedSource returns the sourceField at grazedOffset. For |ε_p| ≥ 1 the
+// ε_p-ball is wider than the stagnation saddle beside the source, so a
+// separatrix passes within one step of |ε_p|. A smaller ball lies inside the
+// source's backward basin, whose edge runs through that saddle: there the
+// separatrix passes the source no nearer than the saddle, about 0.19 away.
+// At ε_p = 0 no separatrix leaves its saddle, and it returns the field at
+// offset 2.
 func grazedSource(t *testing.T, par Params) *field.Field {
 	if par.EpsP == 0 {
 		return sourceField(2)
 	}
+	off, ok := grazedOffset[par.EpsP]
+	if !ok {
+		t.Fatalf("setup: no grazed offset for eps %v", par.EpsP)
+	}
 	r := math.Abs(par.EpsP)
-	// pass traces the separatrices of the saddle at (6.3, 8.4) and reports
-	// whether one is absorbed by a source, and the least gap, beyond r,
-	// between a source and a point no more than one step past r from it.
-	pass := func(off float64) (absorbed bool, gap float64, withinStep bool) {
-		f := sourceField(off)
-		cps := critical.Extract(f)
-		loc := newCPLocator(cps)
-		gap = math.Inf(1)
-		for _, cp := range cps {
-			if cp.Type != critical.Saddle || math.Hypot(cp.Pos[0]-6.3, cp.Pos[1]-8.4) > 0.5 {
-				continue // the saddle beside the source is not the one bisected on
+	f := sourceField(off)
+	cps := critical.Extract(f)
+	loc := newCPLocator(cps)
+	// Trace the separatrices of the saddle at (6.3, 8.4); find the least
+	// gap, beyond r, between a source and a point, and whether a point is
+	// no more than one step past r from a source.
+	gap, withinStep := math.Inf(1), false
+	for _, cp := range cps {
+		if cp.Type != critical.Saddle || math.Hypot(cp.Pos[0]-6.3, cp.Pos[1]-8.4) > 0.5 {
+			continue // the saddle beside the source is not the one grazing it
+		}
+		seeds, dirs, _ := SeparatrixSeeds(cp, par.EpsP)
+		for si := range seeds {
+			var verts []int
+			tr := refTrace(f, seeds[si], dirs[si], par, loc, &verts)
+			if tr.Term == AbsorbedAtCP && cps[tr.EndCP].Type == critical.Source {
+				t.Fatalf("setup: eps %v, offset %v: a separatrix is absorbed by the source", par.EpsP, off)
 			}
-			seeds, dirs, _ := SeparatrixSeeds(cp, par.EpsP)
-			for si := range seeds {
-				var verts []int
-				tr := refTrace(f, seeds[si], dirs[si], par, loc, &verts)
-				if tr.Term == AbsorbedAtCP && cps[tr.EndCP].Type == critical.Source {
-					absorbed = true
-					continue
-				}
-				for i := 1; i < len(tr.Points); i++ {
-					p, q := tr.Points[i], tr.Points[i-1]
-					for _, c := range cps {
-						if c.Type != critical.Source {
-							continue
-						}
-						g := math.Hypot(p[0]-c.Pos[0], p[1]-c.Pos[1]) - r
-						gap = min(gap, g)
-						if g > 0 && g <= math.Hypot(p[0]-q[0], p[1]-q[1]) {
-							withinStep = true
-						}
+			for i := 1; i < len(tr.Points); i++ {
+				p, q := tr.Points[i], tr.Points[i-1]
+				for _, c := range cps {
+					if c.Type != critical.Source {
+						continue
+					}
+					g := math.Hypot(p[0]-c.Pos[0], p[1]-c.Pos[1]) - r
+					gap = min(gap, g)
+					if g > 0 && g <= math.Hypot(p[0]-q[0], p[1]-q[1]) {
+						withinStep = true
 					}
 				}
 			}
 		}
-		return absorbed, gap, withinStep
 	}
-	lo, hi := 0.0, 4.0
-	if a, _, _ := pass(lo); !a {
-		t.Fatalf("setup: eps %v: no separatrix absorbed at offset %v", par.EpsP, lo)
-	}
-	if a, _, _ := pass(hi); a {
-		t.Fatalf("setup: eps %v: a separatrix absorbed at offset %v", par.EpsP, hi)
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if a, _, _ := pass(mid); a {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	_, gap, withinStep := pass(hi)
 	if r >= 1 && !withinStep || r < 1 && !(gap < 0.25) {
 		t.Fatalf("setup: eps %v, offset %v: separatrices pass the source %v beyond eps (within a step: %v)",
-			par.EpsP, hi, gap, withinStep)
+			par.EpsP, off, gap, withinStep)
 	}
-	return sourceField(hi)
+	return f
 }
 
 // Recording each cell once per entry keeps the set of every-stage
