@@ -576,16 +576,30 @@ func cmdInspect(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("inspect: -in is required")
 	}
+	par, err := traceParams("inspect", *epsP, *steps, *h)
+	if err != nil {
+		return err
+	}
 	f, err := readField(*in)
 	if err != nil {
 		return err
 	}
-	sk := tspsz.ExtractSkeleton(f, tspsz.IntegrationParams{EpsP: *epsP, MaxSteps: *steps, H: *h}, *workers)
+	sk := tspsz.ExtractSkeleton(f, par, *workers)
 	nx, ny, nz := f.Grid.Dims()
 	fmt.Printf("field: %dD %dx%dx%d, %d vertices\n", f.Dim(), nx, ny, nz, f.NumVertices())
 	fmt.Printf("critical points: %d (%d saddles)\n", len(sk.CPs), sk.NumSaddles())
 	fmt.Printf("separatrices: %d\n", len(sk.Seps))
 	return nil
+}
+
+// traceParams returns the RK4 parameters of a tracing command's flags,
+// rejecting those that trace nothing by the rule the compressor applies.
+func traceParams(cmd string, epsP float64, steps int, h float64) (tspsz.IntegrationParams, error) {
+	par := tspsz.IntegrationParams{EpsP: epsP, MaxSteps: steps, H: h}
+	if err := par.Validate(); err != nil {
+		return par, fmt.Errorf("%s: %w", cmd, err)
+	}
+	return par, nil
 }
 
 func cmdStats(args []string) error {
@@ -731,11 +745,15 @@ func cmdExport(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("export: -in and -out are required")
 	}
+	par, err := traceParams("export", *epsP, *steps, *h)
+	if err != nil {
+		return err
+	}
 	f, err := readField(*in)
 	if err != nil {
 		return err
 	}
-	sk := tspsz.ExtractSkeleton(f, tspsz.IntegrationParams{EpsP: *epsP, MaxSteps: *steps, H: *h}, *workers)
+	sk := tspsz.ExtractSkeleton(f, par, *workers)
 	if err := resilient.AtomicWrite(*out, 0o644, ioPolicy, func(w io.Writer) error {
 		return skeleton.WriteVTK(w, sk)
 	}); err != nil {
@@ -758,6 +776,10 @@ func cmdCompare(args []string) error {
 	if *origPath == "" || *decPath == "" {
 		return fmt.Errorf("compare: -orig and -dec are required")
 	}
+	par, err := traceParams("compare", *epsP, *steps, *h)
+	if err != nil {
+		return err
+	}
 	orig, err := readField(*origPath)
 	if err != nil {
 		return err
@@ -766,7 +788,6 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	par := tspsz.IntegrationParams{EpsP: *epsP, MaxSteps: *steps, H: *h}
 	oSk := tspsz.ExtractSkeleton(orig, par, *workers)
 	dSk := tspsz.ExtractSkeletonWith(dec, oSk, par, *workers)
 	st := tspsz.CompareSkeletons(oSk, dSk, *tau, *workers)

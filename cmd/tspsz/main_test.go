@@ -196,6 +196,81 @@ func TestCompressRejectsUntraceableParams(t *testing.T) {
 	}
 }
 
+// captureStderr runs fn with os.Stderr redirected and returns what it
+// wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = saved }()
+	fn()
+	w.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	return buf.String()
+}
+
+// TestTracingCommandsRejectUntraceableParams: inspect, export and compare
+// trace separatrices too, so RK4 parameters that would trace nothing exit
+// 1 before any trace, name the parameter, and leave no file behind (export
+// writes none). Before the check, compare -h 0 printed "0 incorrect" and
+// exited 0.
+func TestTracingCommandsRejectUntraceableParams(t *testing.T) {
+	dir := t.TempDir()
+	fieldPath := filepath.Join(dir, "f.tspf")
+	if code := realMain([]string{"gen", "-dataset", "cba", "-scale", "0.1", "-out", fieldPath}); code != 0 {
+		t.Fatalf("gen exited %d", code)
+	}
+	vtkPath := filepath.Join(dir, "f.vtk")
+	commands := [][]string{
+		{"inspect", "-in", fieldPath},
+		{"export", "-in", fieldPath, "-out", vtkPath},
+		{"compare", "-orig", fieldPath, "-dec", fieldPath},
+	}
+	bad := []struct {
+		flags []string
+		names string
+	}{
+		{[]string{"-epsp", "NaN"}, "EpsP"},
+		{[]string{"-epsp", "-1"}, "EpsP"},
+		{[]string{"-h", "0"}, "H"},
+		{[]string{"-h", "+Inf"}, "H"},
+		{[]string{"-t", "0"}, "MaxSteps"},
+	}
+	for _, cmd := range commands {
+		for _, b := range bad {
+			args := append(append([]string(nil), cmd...), b.flags...)
+			var code int
+			stderr := captureStderr(t, func() { code = realMain(args) })
+			if code != 1 {
+				t.Fatalf("%v exited %d, want 1", args, code)
+			}
+			if !strings.Contains(stderr, b.names) {
+				t.Fatalf("%v: message %q does not name %s", args, stderr, b.names)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				t.Fatalf("%v left files behind: %v", args, entries)
+			}
+		}
+		// The defaults still trace.
+		if code := realMain(cmd); code != 0 {
+			t.Fatalf("%v with default parameters exited %d", cmd, code)
+		}
+		os.Remove(vtkPath)
+	}
+}
+
 // TestCompressStreamCLI drives compress -stream end to end: a 3D field
 // streams off disk into a valid archive, the unsupported shapes exit with
 // the header code, and no command leaves temp debris in the output

@@ -9,13 +9,15 @@ import (
 )
 
 // raceguard inspects every worker closure handed to internal/parallel's
-// loop dispatcher, For, and flags writes to captured state that are not
-// provably disjoint across workers.
+// loop dispatchers, For and Wavefront, and flags writes to captured state
+// that are not provably disjoint across workers.
 //
 // The analysis is a must-analysis over the closure body:
 //
-//   - The closure's own parameter (the iteration index i) is "derived",
-//     and so is a captured value indexed by it (rs[i][0], the lo bound of
+//   - The closure's own parameters are "derived": For's iteration index i,
+//     and both of Wavefront's cell coordinates (i, j), since two cells that
+//     run at once are incomparable and so differ in i and in j. So is a
+//     captured value indexed by a derived one (rs[i][0], the lo bound of
 //     the worker's parallel.Ranges extent). A local is derived when every
 //     assignment reaching it is an arithmetic combination containing at
 //     least one derived operand and no unknown variable (loop counters
@@ -41,9 +43,9 @@ func raceguardCheck() *Check {
 	return &Check{
 		Name: "raceguard",
 		Doc: `Flags writes to captured variables inside worker closures passed to
-parallel.For unless every write is provably disjoint across workers:
-element writes must use an index derived from the worker's iteration
-index (or go through a private view like buf[lo:hi] over its
+parallel.For or parallel.Wavefront unless every write is provably disjoint
+across workers: element writes must use an index derived from the worker's
+iteration index or cell coordinates (or go through a private view like buf[lo:hi] over its
 parallel.Ranges extent), map writes are never safe, and
 captured scalar/error/slice-header mutation (counters, err = ...,
 x = append(x, ...)) is always reported. Method calls on captured values
@@ -75,17 +77,18 @@ func runRaceguard(p *Package) []Finding {
 }
 
 // forWorker returns the worker closure of n when n is a call
-// parallel.For(..., func(i int) error {...}) and parallel resolves to an
-// import of the internal/parallel package (of any module). Named worker
-// functions are out of scope: their bodies are covered when they contain
-// For calls of their own.
+// parallel.For(..., func(i int) error {...}) or
+// parallel.Wavefront(..., func(i, j int) error {...}) and parallel
+// resolves to an import of the internal/parallel package (of any module).
+// Named worker functions are out of scope: their bodies are covered when
+// they contain dispatcher calls of their own.
 func forWorker(info *types.Info, n ast.Node) *ast.FuncLit {
 	call, ok := n.(*ast.CallExpr)
 	if !ok || len(call.Args) == 0 {
 		return nil
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "For" {
+	if !ok || sel.Sel.Name != "For" && sel.Sel.Name != "Wavefront" {
 		return nil
 	}
 	id, ok := sel.X.(*ast.Ident)
@@ -147,7 +150,7 @@ func (w *workerScan) captured(obj types.Object) bool {
 	return obj.Pos() < w.lit.Pos() || obj.Pos() > w.lit.End()
 }
 
-// innerWorkerLits returns the worker closures of For calls nested inside
+// innerWorkerLits returns the worker closures of dispatcher calls nested inside
 // this worker's body.
 func (w *workerScan) innerWorkerLits() map[*ast.FuncLit]bool {
 	out := map[*ast.FuncLit]bool{}

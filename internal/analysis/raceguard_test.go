@@ -25,6 +25,17 @@ func For(ctx context.Context, n, workers, grain int, fn func(i int) error) error
 	return nil
 }
 
+func Wavefront(ctx context.Context, nx, ny, workers int, fn func(i, j int) error) error {
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			if err := fn(i, j); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func Ranges(n, workers int) [][2]int {
 	return [][2]int{{0, n}}
 }
@@ -351,4 +362,48 @@ func TileRace(grid [][]float64, k int) error {
 	// inner write uses captured k for the row: flagged once, against
 	// the inner closure.
 	expectLines(t, runCheck(t, dir, "raceguard"), "internal/kern/nest.go:18")
+}
+
+// TestRaceguardWavefront: Wavefront's worker closures are checked like
+// For's, with both cell coordinates derived, since cells that run at once
+// differ in both. Tile writes indexed from i and j pass; a captured
+// counter and a write indexed by a range key are flagged.
+func TestRaceguardWavefront(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"internal/parallel/parallel.go": fixtureParallel,
+		"internal/kern/tiles.go": `package kern
+
+import "fixture/internal/parallel"
+
+func Tiles(out []float64, rows [][]int, nx, ny int) error {
+	return parallel.Wavefront(nil, nx, ny, 2, func(i, j int) error {
+		t := i + j*nx
+		out[t] = float64(i * j)
+		rows[j][i] = t
+		col := out[i*ny : (i+1)*ny]
+		col[j] = 1
+		return nil
+	})
+}
+
+func TilesCount(out []float64, nx, ny int) (int, error) {
+	n := 0
+	err := parallel.Wavefront(nil, nx, ny, 2, func(i, j int) error {
+		n++
+		return nil
+	})
+	return n, err
+}
+
+func TilesRangeKey(out []float64, nx, ny int) error {
+	return parallel.Wavefront(nil, nx, ny, 2, func(i, j int) error {
+		for k := range out {
+			out[k] = float64(i + j)
+		}
+		return nil
+	})
+}
+`,
+	})
+	expectLines(t, runCheck(t, dir, "raceguard"), "internal/kern/tiles.go:19", "internal/kern/tiles.go:28")
 }

@@ -98,22 +98,6 @@ func (o *Options) withDefaults() Options {
 	return opts
 }
 
-// checkTrace rejects RK4 parameters that trace no separatrix, which would
-// leave the skeleton guarantee void without an error: an ε_p that is NaN,
-// negative or infinite, an h that is NaN, infinite or not positive, and a
-// step budget below 1.
-func checkTrace(p integrate.Params) error {
-	switch {
-	case !(p.EpsP >= 0) || math.IsInf(p.EpsP, 1):
-		return fmt.Errorf("absorption threshold EpsP (ε_p) must be finite and non-negative, got %v", p.EpsP)
-	case !(p.H > 0) || math.IsInf(p.H, 1):
-		return fmt.Errorf("RK4 step size H must be finite and positive, got %v", p.H)
-	case p.MaxSteps < 1:
-		return fmt.Errorf("RK4 step budget MaxSteps must be at least 1, got %d", p.MaxSteps)
-	}
-	return nil
-}
-
 // Stats reports what compression did, for the evaluation harness.
 type Stats struct {
 	// NumCPs, NumSaddles, NumSeps describe the original skeleton.
@@ -164,7 +148,7 @@ func CompressCtx(ctx context.Context, f *field.Field, opts Options) (r *Result, 
 	if !(o.Tau > 0) {
 		return nil, fmt.Errorf("core: Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
 	}
-	if err := checkTrace(o.Params); err != nil {
+	if err := o.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var res *Result

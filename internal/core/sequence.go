@@ -61,7 +61,7 @@ func CompressSequenceCtx(ctx context.Context, frames []*field.Field, opts Option
 	if !(o.Tau > 0) {
 		return nil, fmt.Errorf("core: Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
 	}
-	if err := checkTrace(o.Params); err != nil {
+	if err := o.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := validateFrameShapes(frames); err != nil {

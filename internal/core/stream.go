@@ -91,7 +91,7 @@ func CompressSequenceStream(ctx context.Context, w io.Writer, count int, fetch f
 	if !(o.Tau > 0) {
 		return nil, streamerr.Header("sequence", "Fréchet tolerance tau must be positive (0 selects √2), got %v", o.Tau)
 	}
-	if err := checkTrace(o.Params); err != nil {
+	if err := o.Params.Validate(); err != nil {
 		return nil, streamerr.Header("sequence", "%v", err)
 	}
 	c := o.Collector

@@ -111,8 +111,8 @@ func sealResult(ctx context.Context, f *field.Field, opts Options, tot *sectionT
 // reach; p.gid translates local vertex ids to global ones, at which the
 // forced-lossless bitmap is read and fully lossless vertices are recorded
 // in out.marks. With box == p.r this is the raster sweep of the whole
-// region; a tile of the wave sweep passes rows, and after each of its
-// rows (one (j, k) pair) rows[n] receives the ends of out's streams.
+// region; a region tile passes rows, and after each of its rows (one
+// (j, k) pair) rows[n] receives the ends of out's streams.
 func compressBox(p *preparedRegion, work *field.Field, opts *Options, box region, out *regionStreams, rows []streamEnds) {
 	r := p.r
 	nx, ny, _ := p.local.Grid.Dims()

@@ -20,12 +20,14 @@
 //
 // The sweep is parallel at two levels: slab regions side by side, and,
 // inside a region, 4×4-vertex tiles (spanning all of the region's planes)
-// in anti-diagonal waves on the workers the region level leaves idle, so a
-// field too thin for more than one slab still compresses on every worker.
-// Every bound and prediction reads only vertices at componentwise
-// non-negative or non-positive offsets, so the waves read exactly what the
-// raster order reads and every archive is the raster order's, byte for
-// byte (sweep.go gives the argument).
+// on the workers the region level leaves idle, so a field too thin for
+// more than one slab still compresses on every worker. A tile starts as
+// soon as its neighbors at lower x and lower y are done
+// (parallel.Wavefront), with no barrier between anti-diagonals. Every
+// bound and prediction reads only vertices at componentwise non-negative
+// or non-positive offsets, so the tiles read exactly what the raster order
+// reads and every archive is the raster order's, byte for byte (sweep.go
+// gives the argument).
 package cpsz
 
 import (

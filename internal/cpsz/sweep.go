@@ -24,25 +24,28 @@ import (
 //     to a sink in region order (interiors ascending, then boundary planes
 //     ascending — the order the section encoders concatenate region
 //     streams in).
-//  3. Inside a region, tile waves. The region is cut into tileSide×tileSide
-//     tiles over x and y, each spanning all of the region's planes; each
-//     tile is compressed in raster order, tiles run in anti-diagonal waves
-//     (all tiles with I+J = s at once, one parallel.For per wave), and the
-//     tiles' streams are stitched back into the region's raster order.
+//  3. Inside a region, tiles in dependency order. The region is cut into
+//     tileSide×tileSide tiles over x and y, each spanning all of the
+//     region's planes; each tile is compressed in raster order, one
+//     parallel.Wavefront per region starts tile (I, J) as soon as tiles
+//     (I-1, J) and (I, J-1) are done, and the tiles' streams are stitched
+//     back into the region's raster order.
 //
-// The waves leave every archive as the raster sweep writes it. Every
+// The tiles leave every archive as the raster sweep writes it. Every
 // vertex that ebound.VertexBound and VertexBoundSoS read through v's star
 // (2D triangles split along the (1,1) diagonal, Kuhn tetrahedra whose
 // vertices form a chain 0 ≤ e₁ ≤ e₂ ≤ e₃) lies at an offset from v that is
 // componentwise all ≥ 0 or all ≤ 0, and so does the region-confined
 // Lorenzo stencil (all ≤ 0). A vertex u ≤ v componentwise lies in v's tile
-// or in a tile of an earlier wave, and u ≥ v in v's tile or a later wave,
-// so each read sees what raster order sees: decompressed values behind,
-// original values ahead. Two tiles of one wave are incomparable (one is
-// right and below the other), so no vertex of one reads or writes a vertex
-// of the other. A wave uses only the workers the region level leaves idle,
-// workers / min(workers, regions in the phase): with one worker a region
-// is a single tile that runs the raster loop straight into its streams.
+// or in a tile ≤ v's, an ancestor that is done before v's tile starts, and
+// u ≥ v in v's tile or a tile ≥ v's, a descendant that starts only after
+// v's tile is done, so each read sees what raster order sees: decompressed
+// values behind, original values ahead. Tiles that run at the same time
+// are incomparable (one is right of and below the other), so no vertex of
+// one reads or writes a vertex of the other. The tiles use only the
+// workers the region level leaves idle, workers / min(workers, regions in
+// the phase): with one worker a region is a single tile that runs the
+// raster loop straight into its streams.
 
 // tileSide is the x and y extent, in vertices, of a wave tile.
 const tileSide = 4
@@ -257,7 +260,7 @@ func (sw *layerSweep) getStreams(nv int) *regionStreams {
 
 func (sw *layerSweep) putStreams(rs *regionStreams) { sw.streamsPool.Put(rs) }
 
-// waveTiles is one region's tile outputs for the wave sweep: the streams
+// waveTiles is one region's tile outputs for its wavefront: the streams
 // of every tile and, per tile, the stream ends after each of its rows
 // (stride slots per tile).
 type waveTiles struct {
@@ -441,12 +444,12 @@ func (sw *layerSweep) prepareBoundary(i int) (preparedRegion, error) {
 }
 
 // compressPrepared compresses the region of p on its local sub-field with
-// up to inner workers for its tile waves. The region box is translated so
+// up to inner workers for its tiles. The region box is translated so
 // k - lo relations along the partition axis — which is all the
 // region-confined predictor and the value-local bound derivation depend
 // on — are preserved, making the emitted symbols those of the same region
-// of a whole-field working copy. A cancelled ctx stops the region at the
-// next wave.
+// of a whole-field working copy. A cancelled ctx stops the region at its
+// next tile.
 func (sw *layerSweep) compressPrepared(ctx context.Context, p preparedRegion, inner int) (compressedRegion, error) {
 	work := &p.buf.work
 	copy(work.U, p.local.U)
@@ -479,7 +482,7 @@ func (sw *layerSweep) compressPrepared(ctx context.Context, p preparedRegion, in
 	return compressedRegion{rs: rs, buf: p.buf, lo: lo * sw.plane, hi: hi * sw.plane, gid: p.gid + lo*sw.plane}, nil
 }
 
-// tileCounts returns how many wave tiles region r has along x and y.
+// tileCounts returns how many tiles region r has along x and y.
 func tileCounts(r region) (tx, ty int) {
 	return (r.hi[0] - r.lo[0] + tileSide - 1) / tileSide, (r.hi[1] - r.lo[1] + tileSide - 1) / tileSide
 }
@@ -494,26 +497,23 @@ func tileBox(r region, ti, tj int) region {
 }
 
 // compressWaves compresses the tx×ty tiles of region p.r into out, in
-// region raster order: the tiles run in anti-diagonal waves, each wave one
-// parallel.For on up to inner workers, and their streams are stitched back
-// together. A done ctx stops the region at the next wave.
+// region raster order: one parallel.Wavefront on up to inner workers runs
+// tile (I, J) once tiles (I-1, J) and (I, J-1) are done, and the tiles'
+// streams are stitched back together. A done ctx stops the region at its
+// next tile.
 func (sw *layerSweep) compressWaves(ctx context.Context, p preparedRegion, work *field.Field, out *regionStreams, inner, tx, ty int) error {
 	r := p.r
 	ey, planes := r.hi[1]-r.lo[1], r.hi[2]-r.lo[2]
 	wt := sw.getWaveTiles(tx*ty, planes)
 	defer putWaveTiles(wt)
-	for s := 0; s < tx+ty-1; s++ {
-		i0, i1 := max(0, s-ty+1), min(s, tx-1) // tile columns of wave s
-		if err := parallel.For(ctx, i1-i0+1, inner, 1, func(n int) error {
-			ti, tj := i0+n, s-i0-n
-			t := ti + tj*tx
-			tile := &wt.tiles[t]
-			tile.reset()
-			compressBox(&p, work, &sw.opts, tileBox(r, ti, tj), tile, wt.rows[t*wt.stride:(t+1)*wt.stride])
-			return nil
-		}); err != nil {
-			return err
-		}
+	if err := parallel.Wavefront(ctx, tx, ty, inner, func(ti, tj int) error {
+		t := ti + tj*tx
+		tile := &wt.tiles[t]
+		tile.reset()
+		compressBox(&p, work, &sw.opts, tileBox(r, ti, tj), tile, wt.rows[t*wt.stride:(t+1)*wt.stride])
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	// Stitch: row (j, k) of the region is row (j, k) of each tile of its
@@ -557,7 +557,7 @@ func (sw *layerSweep) emit(out compressedRegion, sink regionSink) error {
 // run performs the sweep, invoking sink once per region in deterministic
 // region order. Layers (and bound layers) are fetched in non-decreasing
 // k; a cut plane is fetched once for each slab it neighbors. Each phase
-// gives a region's tile waves the workers its regions leave idle.
+// gives a region's tiles the workers its regions leave idle.
 func (sw *layerSweep) run(ctx context.Context, sink regionSink) error {
 	work := func(regions int) func(int, preparedRegion) (compressedRegion, error) {
 		inner := sw.workers / max(1, min(sw.workers, regions))

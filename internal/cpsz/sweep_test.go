@@ -15,12 +15,12 @@ import (
 	"tspsz/internal/streamerr"
 )
 
-// TestCompressCancelsBetweenWaves cancels a one-region compress from the
-// dispatch hook at its third tile wave: the compress must fail with
-// ErrCancelled without dispatching another wave or leaking a worker, and
+// TestCompressCancelsAtTileDispatch cancels a one-region compress from the
+// dispatch hook as its tiles are dispatched: the compress must fail with
+// ErrCancelled without dispatching another grid or leaking a worker, and
 // the next uncancelled compress must write the archive it wrote before.
-func TestCompressCancelsBetweenWaves(t *testing.T) {
-	f := datagen.Hurricane(32, 32, 8) // one slab: 8×8 tiles, 15 waves
+func TestCompressCancelsAtTileDispatch(t *testing.T) {
+	f := datagen.Hurricane(32, 32, 8) // one slab: 8×8 tiles
 	opts := Options{Mode: ebound.Absolute, ErrBound: 5e-3, Workers: 2}
 	want, err := Compress(f, opts)
 	if err != nil {
@@ -30,9 +30,15 @@ func TestCompressCancelsBetweenWaves(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var waves atomic.Int32
-	parallel.SetHook(func(op string, _, _ int) func() {
-		if op == "For" && waves.Add(1) == 3 {
+	var grids atomic.Int32
+	parallel.SetHook(func(op string, n, _ int) func() {
+		if op != "Wavefront" {
+			return nil
+		}
+		if grids.Add(1) == 1 {
+			if n != 64 {
+				t.Errorf("tile dispatch of %d tiles, want 64", n)
+			}
 			cancel()
 		}
 		return nil
@@ -40,10 +46,10 @@ func TestCompressCancelsBetweenWaves(t *testing.T) {
 	_, err = CompressCtx(ctx, f, opts)
 	parallel.SetHook(nil)
 	if !errors.Is(err, streamerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("compress cancelled at wave 3 returned %v, want ErrCancelled", err)
+		t.Fatalf("compress cancelled at its tile dispatch returned %v, want ErrCancelled", err)
 	}
-	if n := waves.Load(); n != 3 {
-		t.Fatalf("%d waves dispatched, want 3: the region went on after the cancel", n)
+	if n := grids.Load(); n != 1 {
+		t.Fatalf("%d tile grids dispatched, want 1: the compress went on after the cancel", n)
 	}
 	checkNoGoroutineLeak(t, before)
 
@@ -58,7 +64,7 @@ func TestCompressCancelsBetweenWaves(t *testing.T) {
 
 // BenchmarkCompressWindow3D compresses one 32×32×8 hurricane window, the
 // shape of the benchmark's 3D windows. It is a single region, so at
-// workers=2 its tiles run in waves.
+// workers=2 its tiles run on both workers in dependency order.
 func BenchmarkCompressWindow3D(b *testing.B) {
 	f := datagen.Hurricane(32, 32, 8)
 	for _, workers := range []int{1, 2} {

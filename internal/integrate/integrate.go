@@ -6,23 +6,27 @@
 // losslessly. A trajectory records a cell's vertices each time one of its
 // RK4 stages samples a cell other than the one it recorded last, so the
 // record is a list whose set is exactly the vertices of every cell sampled.
-// A trace keeps its points (TraceSeparatrices, Streamline, Retrace) or
-// only records (RecordSeparatricesOf, for TspSZ-I, which reads nothing
-// but the involved vertices, and RecordRetrace, for the corrector's prefix
-// retraces); both run the one RK4 loop, so they record the same list and
-// end the same way. Each streamline samples through its own
-// field.Sampler, passing points and stage vectors as scalars so that they
-// stay in registers. It probes for absorption by a sink or source only
-// when it could be within ε_p of one: it spends a slack, its clearance from
-// every target less ε_p, on the L1 length of its steps, so that a probe it
-// skips would have missed (absorber). Every product in this package is
-// written float64(a*b), the Go spec's barrier against fusing it into a
-// multiply-add, so traces round the same on every platform (make
-// fma-check holds it).
+// A trace keeps its points (TraceSeparatrices, Streamline, Retrace) or only
+// records (RecordSeparatricesOf, for TspSZ-I, which reads nothing but the
+// involved vertices, RecordRetrace, for the corrector's prefix retraces,
+// and RecordStreamline, for basin labeling, which reads only the end
+// point); both run the one RK4 loop, so they record the same list and end
+// the same way, at the same point. A point-keeping trace appends into a
+// pooled buffer and returns an exact-length copy of it. Each streamline
+// samples through its own field.Sampler, passing points and stage vectors
+// as scalars so that they stay in registers. It probes for absorption by a
+// sink or source only when it could be within ε_p of one: it spends a
+// slack, its clearance from every target less ε_p, on the L1 length of its
+// steps, so that a probe it skips would have missed (absorber). Every
+// product in this package is written float64(a*b), the Go spec's barrier
+// against fusing it into a multiply-add, so traces round the same on every
+// platform (make fma-check holds it).
 package integrate
 
 import (
+	"fmt"
 	"math"
+	"sync"
 
 	"tspsz/internal/critical"
 	"tspsz/internal/field"
@@ -52,6 +56,23 @@ type Params struct {
 	// OrbitMinSep is the minimum step separation for a revisit to count
 	// as a loop (defaults to 20 when zero).
 	OrbitMinSep int
+}
+
+// Validate rejects parameters that trace nothing, which would leave the
+// skeleton guarantee void without an error: an ε_p that is NaN, negative
+// or infinite, an h that is NaN, infinite or not positive, and a step
+// budget below 1. The compressor and the CLI's tracing commands check
+// with it before any trace runs.
+func (p Params) Validate() error {
+	switch {
+	case !(p.EpsP >= 0) || math.IsInf(p.EpsP, 1):
+		return fmt.Errorf("absorption threshold EpsP (ε_p) must be finite and non-negative, got %v", p.EpsP)
+	case !(p.H > 0) || math.IsInf(p.H, 1):
+		return fmt.Errorf("RK4 step size H must be finite and positive, got %v", p.H)
+	case p.MaxSteps < 1:
+		return fmt.Errorf("RK4 step budget MaxSteps must be at least 1, got %d", p.MaxSteps)
+	}
+	return nil
 }
 
 // DefaultParams returns the paper's defaults (Table II): ε_p = 1e-3,
@@ -97,7 +118,11 @@ func (t Termination) String() string {
 // Trajectory is one traced streamline.
 type Trajectory struct {
 	Points []frechet.Point
-	Term   Termination
+	// End is the last point the trace reached, Points[len(Points)-1] when
+	// it keeps points: the seed if it took no step, else the point of its
+	// last step (the one before a stage left the domain).
+	End  frechet.Point
+	Term Termination
 	// EndCP is the index (into the critical point slice passed to the
 	// tracer) of the absorbing critical point, or -1.
 	EndCP int
@@ -439,14 +464,41 @@ func Streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLoc
 	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts, true)
 }
 
-// streamline is the one RK4 loop. keep says whether the trajectory keeps
-// its points; a record-only trace (keep false) returns the same Term and
-// EndCP and records the same vertices, with Points nil.
+// RecordStreamline is Streamline without its points: it returns the same
+// Term, EndCP and End and records the same vertices, with Points nil.
+// Basin labeling reads only where a streamline ends.
+func RecordStreamline(f *field.Field, seed [3]float64, dir int, par Params, loc *CPLocator, verts *[]int) Trajectory {
+	return streamline(f, seed, dir, par, (*cpLocator)(loc), verts, false)
+}
+
+// pointBufs recycles the point buffers of point-keeping traces: a trace
+// appends into a pooled buffer, which grows to the longest trace it has
+// held, and returns one exact-length copy, so a trace of n steps allocates
+// once rather than about log₂ n times.
+var pointBufs = sync.Pool{New: func() any { return new([]frechet.Point) }}
+
+// streamline traces one streamline. keep says whether the trajectory
+// keeps its points; a record-only trace (keep false) returns the same
+// Term, EndCP and End and records the same vertices, with Points nil.
 func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int, keep bool) Trajectory {
-	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
-	if keep {
-		tr.Points = append(tr.Points, seed)
+	if !keep {
+		tr, _ := trace(f, seed, dir, par, loc, verts, nil)
+		return tr
 	}
+	buf := pointBufs.Get().(*[]frechet.Point)
+	tr, pts := trace(f, seed, dir, par, loc, verts, append((*buf)[:0], seed))
+	tr.Points = make([]frechet.Point, len(pts))
+	copy(tr.Points, pts)
+	*buf = pts
+	pointBufs.Put(buf)
+	return tr
+}
+
+// trace is the one RK4 loop. When pts is non-nil (it then holds the seed)
+// it appends the point of every step to pts and returns it.
+func trace(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLocator, verts *[]int, pts []frechet.Point) (Trajectory, []frechet.Point) {
+	tr := Trajectory{EndCP: -1, Saddle: -1, SeedIdx: -1, Dir: dir, Term: MaxSteps}
+	keep := pts != nil
 	rec := recorder{g: f.Grid, out: verts, last: -1}
 	smp := field.NewSampler(f)
 	px, py, pz := seed[0], seed[1], seed[2]
@@ -469,33 +521,34 @@ func streamline(f *field.Field, seed [3]float64, dir int, par Params, loc *cpLoc
 		nx, ny, nz, ok := rk4Step(&smp, px, py, pz, par.H, float64(dir), &rec)
 		if !ok {
 			tr.Term = LeftDomain
-			return tr
-		}
-		np := [3]float64{nx, ny, nz}
-		if keep {
-			tr.Points = append(tr.Points, np)
+			break
 		}
 		dx := nx - px
 		dy := ny - py
 		dz := nz - pz
+		px, py, pz = nx, ny, nz
+		np := [3]float64{nx, ny, nz}
+		if keep {
+			pts = append(pts, np)
+		}
 		if abs.advance(dx, dy, dz) {
 			if cp := abs.refresh(nx, ny, nz); cp >= 0 {
 				tr.Term = AbsorbedAtCP
 				tr.EndCP = cp
-				return tr
+				break
 			}
 		}
 		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < vEps*vEps {
 			tr.Term = ZeroVelocity
-			return tr
+			break
 		}
 		if orbits != nil && orbits.visit(np, step+1) {
 			tr.Term = ClosedOrbit
-			return tr
+			break
 		}
-		px, py, pz = nx, ny, nz
 	}
-	return tr
+	tr.End = [3]float64{px, py, pz}
+	return tr, pts
 }
 
 // TraceStreamline is the public entry for a single streamline; it builds

@@ -7,7 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a panic recovered from a loop body run by For or Pipeline.
+// PanicError is a panic recovered from a loop body run by For, Wavefront or
+// Pipeline.
 // A panic inside a plain goroutine kills the whole process — no recover in
 // the caller can cross the goroutine boundary — so the dispatchers catch
 // it at the goroutine root and hand it back as an error carrying the panic

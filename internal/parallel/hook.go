@@ -2,10 +2,11 @@ package parallel
 
 import "sync/atomic"
 
-// HookFunc observes one loop dispatch: op names the dispatcher ("For" or
-// "Pipeline"), n is the iteration count, and workers the goroutine count
-// actually launched (after pool clamping; 1 for the serial fast path).
-// The returned func, if non-nil, is called when the dispatch completes.
+// HookFunc observes one loop dispatch: op names the dispatcher ("For",
+// "Wavefront" or "Pipeline"), n is the iteration (or cell) count, and
+// workers the goroutine count actually launched (after pool clamping; 1
+// for the serial fast path). The returned func, if non-nil, is called
+// when the dispatch completes.
 // Implementations must be safe for concurrent calls from any goroutine.
 type HookFunc func(op string, n, workers int) func()
 

@@ -1,8 +1,12 @@
 // Package parallel provides the shared-memory work distribution primitives
 // TspSZ uses in place of OpenMP (§VII): one loop dispatcher, For, with
 // dynamic chunk scheduling for load-imbalanced loops such as separatrix
-// tracing, plus Ranges for deterministic block decomposition and Pipeline
-// for the ordered streaming sweep.
+// tracing; Wavefront, which runs the cells of a grid in dependency order
+// (a cell once its left and lower neighbors are done, with no barrier
+// between anti-diagonals) for the compressor's region tiles; Ranges for
+// deterministic block decomposition; and Pipeline for the ordered
+// streaming sweep. All share one error contract: panics contained as
+// *PanicError, the earliest failure returned, every goroutine joined.
 package parallel
 
 import (

@@ -64,12 +64,12 @@ func BasinsCapture(f *field.Field, cps []critical.Point, dir int, par integrate.
 	if err := parallel.For(nil, len(seeds), workers, 64, func(si int) error {
 		idx := seeds[si]
 		seed := f.Grid.VertexPosition(idx)
-		tr := integrate.Streamline(f, seed, dir, par, loc, nil)
+		tr := integrate.RecordStreamline(f, seed, dir, par, loc, nil)
 		switch {
 		case tr.Term == integrate.AbsorbedAtCP:
 			labels[idx] = tr.EndCP
-		case capture > 0 && len(tr.Points) > 0:
-			labels[idx] = nearestCP(cps, tr.Points[len(tr.Points)-1], capture)
+		case capture > 0:
+			labels[idx] = nearestCP(cps, tr.End, capture)
 		}
 		return nil
 	}); err != nil {
